@@ -58,7 +58,7 @@ pub use mc::{
 pub use metrics::{FastCounter, Histogram, Metrics};
 pub use network::{Network, NetworkConfig, ScriptedFate};
 pub use payload::Payload;
-pub use place::{fnv1a, key_shard, ShardMap};
+pub use place::{fnv1a, ShardMap};
 pub use proc::{Boot, Ctx, Disk, NodeId, Process, ProcessId, TimerId};
 pub use queue::{EventKey, EventQueue};
 pub use rng::{SimRng, Zipf};

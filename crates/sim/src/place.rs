@@ -1,23 +1,17 @@
-//! Shared key placement: one FNV-1a implementation and the shard maps
+//! Shared key placement: one FNV-1a implementation and the shard map
 //! built on it.
 //!
 //! Several components need to answer "which shard owns this key?" — the
-//! deterministic dataflow shards (`tca-txn::deterministic`), the storage
-//! router, and cross-shard 2PC branch construction. Before this module
-//! each grew its own hand-rolled FNV-1a; now they all share [`fnv1a`]
-//! and pick one of two placement disciplines:
+//! deterministic dataflow shards (`tca-txn::dataflow`), the storage
+//! router, and cross-shard 2PC branch construction. They all share
+//! [`fnv1a`] and one placement discipline, [`ShardMap::ring`]: a
+//! consistent-hash ring with virtual nodes. Each shard owns the arcs that
+//! its vnode points cover; growing the fleet from `n` to `n+1` shards
+//! moves only `~1/(n+1)` of the keyspace.
 //!
-//! - [`ShardMap::modulo`] — `hash(key) % n`. Dead simple and what the
-//!   deterministic shards have always used (their frozen schedules depend
-//!   on it), but resharding moves almost every key.
-//! - [`ShardMap::ring`] — a consistent-hash ring with virtual nodes.
-//!   Each shard owns the arcs that its vnode points cover; growing the
-//!   fleet from `n` to `n+1` shards moves only `~1/(n+1)` of the keyspace.
-//!   The storage router uses this.
-//!
-//! Both disciplines are pure functions of the key bytes and the shard
-//! count, so every process in a simulation (and every run of the same
-//! seed) computes identical placement without coordination.
+//! The ring is a pure function of the key bytes, the shard count and the
+//! vnode count, so every process in a simulation (and every run of the
+//! same seed) computes identical placement without coordination.
 
 /// FNV-1a 64-bit offset basis (shared with
 /// [`crate::detmap::DetHasher`]).
@@ -39,10 +33,9 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 ///
 /// FNV-1a diffuses each input byte *upward* only, so keys differing in
 /// their last character produce hashes that are close together in the
-/// high bits. Modulo placement never notices (it looks at the low bits),
-/// but a consistent-hash ring partitions by the *whole* hash — without a
-/// finalizer, sequential keys (`user…01`, `user…02`) would all fall on
-/// one arc.
+/// high bits. A consistent-hash ring partitions by the *whole* hash —
+/// without a finalizer, sequential keys (`user…01`, `user…02`) would all
+/// fall on one arc.
 pub fn mix64(mut h: u64) -> u64 {
     h ^= h >> 30;
     h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -51,51 +44,26 @@ pub fn mix64(mut h: u64) -> u64 {
     h ^ (h >> 31)
 }
 
-/// Modulo placement: `fnv1a(key) % shards`.
-///
-/// This is the exact function the deterministic dataflow shards have
-/// always used (formerly a private `owner_of`); keeping it byte-identical
-/// preserves their frozen schedules.
-pub fn key_shard(key: &str, shards: usize) -> usize {
-    debug_assert!(shards > 0, "placement over zero shards");
-    (fnv1a(key.as_bytes()) % shards as u64) as usize
-}
-
 /// Default number of virtual nodes per shard on the consistent-hash ring.
 /// Enough to keep arc ownership within a few percent of uniform for the
 /// fleet sizes the experiments sweep (1–64 shards).
 pub const DEFAULT_VNODES: usize = 64;
-
-#[derive(Debug, Clone)]
-enum Placement {
-    Modulo,
-    /// Ring points sorted by hash; each point maps an arc to a shard.
-    Ring(Vec<(u64, usize)>),
-}
 
 /// A key → shard placement function, shared by routers, coordinators and
 /// generators so they all agree on ownership.
 #[derive(Debug, Clone)]
 pub struct ShardMap {
     shards: usize,
-    placement: Placement,
+    /// Ring points sorted by hash; each point maps an arc to a shard.
+    points: Vec<(u64, usize)>,
 }
 
 impl ShardMap {
-    /// Modulo placement over `n` shards (see [`key_shard`]).
-    pub fn modulo(n: usize) -> Self {
-        assert!(n > 0, "ShardMap over zero shards");
-        ShardMap {
-            shards: n,
-            placement: Placement::Modulo,
-        }
-    }
-
     /// Consistent-hash ring over `n` shards with [`DEFAULT_VNODES`]
     /// virtual nodes each.
     ///
-    /// Growing the fleet moves only ~`1/(n+1)` of the keyspace, which is
-    /// why the router uses a ring rather than modulo placement:
+    /// Growing the fleet moves only ~`1/(n+1)` of the keyspace, where
+    /// `hash % n` placement would move nearly all of it:
     ///
     /// ```rust
     /// use tca_sim::ShardMap;
@@ -130,10 +98,7 @@ impl ShardMap {
         // Ties (identical hashes) resolve to the lower shard index —
         // deterministic on every platform.
         points.sort_unstable();
-        ShardMap {
-            shards: n,
-            placement: Placement::Ring(points),
-        }
+        ShardMap { shards: n, points }
     }
 
     /// Number of shards.
@@ -143,16 +108,11 @@ impl ShardMap {
 
     /// The shard owning `key`.
     pub fn owner(&self, key: &str) -> usize {
-        match &self.placement {
-            Placement::Modulo => key_shard(key, self.shards),
-            Placement::Ring(points) => {
-                let h = mix64(fnv1a(key.as_bytes()));
-                // First point clockwise of the key's position; wrap past
-                // the last point back to the first.
-                let idx = points.partition_point(|&(p, _)| p < h);
-                points[if idx == points.len() { 0 } else { idx }].1
-            }
-        }
+        let h = mix64(fnv1a(key.as_bytes()));
+        // First point clockwise of the key's position; wrap past the last
+        // point back to the first.
+        let idx = self.points.partition_point(|&(p, _)| p < h);
+        self.points[if idx == self.points.len() { 0 } else { idx }].1
     }
 
     /// Split `(key, value)`-like items into per-shard groups, preserving
@@ -175,16 +135,6 @@ mod tests {
     fn fnv1a_matches_reference_vector() {
         // FNV-1a("hello") — the same published value DetHasher pins.
         assert_eq!(fnv1a(b"hello"), 0xa430_d846_80aa_bd0b);
-    }
-
-    #[test]
-    fn key_shard_is_stable_and_in_range() {
-        for n in 1..6 {
-            for key in ["a", "b", "acct42"] {
-                assert!(key_shard(key, n) < n);
-                assert_eq!(key_shard(key, n), key_shard(key, n));
-            }
-        }
     }
 
     #[test]
@@ -236,11 +186,11 @@ mod tests {
             moved < total / 5,
             "{moved}/{total} keys moved on 16→17 growth"
         );
-        // Modulo placement, by contrast, moves nearly everything.
+        // `hash % n` placement, by contrast, moves nearly everything.
         let modulo_moved = (0..total)
             .filter(|i| {
-                let key = format!("user{i:08}");
-                key_shard(&key, 16) != key_shard(&key, 17)
+                let h = fnv1a(format!("user{i:08}").as_bytes());
+                h % 16 != h % 17
             })
             .count();
         assert!(modulo_moved > moved * 2, "{modulo_moved} vs {moved}");

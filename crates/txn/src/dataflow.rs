@@ -2,9 +2,9 @@
 //! Styx-scale engine (§4.2, and the Delft dissertation "Democratizing
 //! Scalable Cloud Applications" in `PAPERS.md`).
 //!
-//! [`crate::deterministic`] sketches the idea at its smallest: one
-//! sequencer, serial shard apply, no durability. This module is the
-//! scaled-up pipeline the dissertation describes:
+//! Serializability comes from one global order that every shard executes
+//! deterministically (Calvin/Styx, §3.1: "transactional serializability
+//! on computations cutting across functions"). The pipeline:
 //!
 //! 1. **Epoch batching.** The [`DfSequencer`] buffers submitted
 //!    transactions and closes an *epoch* on a timer, assigning every
@@ -52,9 +52,109 @@ use tca_sim::DetHashMap as HashMap;
 
 use tca_messaging::rpc::{reply_to, RpcRequest};
 use tca_sim::{Boot, Ctx, Payload, Process, ProcessId, ShardMap, SimDuration};
-use tca_storage::Value;
+use tca_storage::{ProcRegistry, Value};
 
-use crate::deterministic::{DetRegistry, SubmitTxn, TxnOutcome};
+// ---------------------------------------------------------------------------
+// Procedures and the client protocol
+// ---------------------------------------------------------------------------
+
+/// A deterministic transaction body: `(args, full read set) → write set`.
+/// Must be a pure function — every shard evaluates it identically.
+pub type DetProcFn =
+    Rc<dyn Fn(&[Value], &HashMap<String, Value>) -> Result<Vec<(String, Value)>, String>>;
+
+/// Registry of deterministic procedures (shared by all shards).
+#[derive(Clone, Default)]
+pub struct DetRegistry {
+    procs: HashMap<String, DetProcFn>,
+}
+
+impl DetRegistry {
+    /// Empty registry.
+    pub fn new() -> Self {
+        DetRegistry::default()
+    }
+
+    /// Register a procedure (builder style).
+    pub fn with(
+        mut self,
+        name: &str,
+        f: impl Fn(&[Value], &HashMap<String, Value>) -> Result<Vec<(String, Value)>, String> + 'static,
+    ) -> Self {
+        self.procs.insert(name.to_owned(), Rc::new(f));
+        self
+    }
+}
+
+/// Client request (inside an [`RpcRequest`]) to the sequencer.
+///
+/// As in Calvin, the read set is declared up front and writes may only
+/// target declared keys.
+#[derive(Debug, Clone)]
+pub struct SubmitTxn {
+    /// Registered procedure.
+    pub proc: String,
+    /// Arguments.
+    pub args: Vec<Value>,
+    /// Declared read set (writes must stay within it).
+    pub read_keys: Vec<String>,
+}
+
+/// Transaction outcome (inside an `RpcReply`, sent by the owner shard).
+#[derive(Debug, Clone)]
+pub struct TxnOutcome {
+    /// Ok = committed with these results (the write set size);
+    /// Err = deterministic logic failure (all shards agree).
+    pub result: Result<Vec<Value>, String>,
+}
+
+/// The standard transfer procedure for benchmarks: read two balances,
+/// move `amount` if funds allow. Accounts never written read as 100.
+pub fn transfer_registry() -> DetRegistry {
+    DetRegistry::new().with("transfer", |args, reads| {
+        let from = args[0].as_str();
+        let to = args[1].as_str();
+        let amount = args[2].as_int();
+        let read_int = |k: &str| -> i64 {
+            match reads.get(k) {
+                Some(Value::Int(v)) => *v,
+                _ => 100, // accounts start with 100
+            }
+        };
+        let from_balance = read_int(from);
+        if from_balance < amount {
+            return Err("insufficient".into());
+        }
+        Ok(vec![
+            (from.to_owned(), Value::Int(from_balance - amount)),
+            (to.to_owned(), Value::Int(read_int(to) + amount)),
+        ])
+    })
+}
+
+/// The stored-procedure bank shared by the 2PC, saga and workflow
+/// worlds: `debit(key, amount)` refuses to overdraw, `credit(key,
+/// amount)` always applies, and a missing balance reads as 0.
+pub fn bank_registry() -> ProcRegistry {
+    ProcRegistry::new()
+        .with("debit", |tx, args| {
+            let key = args[0].as_str().to_owned();
+            let amount = args[1].as_int();
+            let balance = tx.get(&key).map(|v| v.as_int()).unwrap_or(0);
+            if balance < amount {
+                return Err("insufficient".into());
+            }
+            tx.put(&key, Value::Int(balance - amount));
+            Ok(vec![Value::Int(balance - amount)])
+        })
+        .with("credit", |tx, args| {
+            let key = args[0].as_str().to_owned();
+            let amount = args[1].as_int();
+            let balance = tx.get(&key).map(|v| v.as_int()).unwrap_or(0);
+            tx.put(&key, Value::Int(balance + amount));
+            Ok(vec![Value::Int(balance + amount)])
+        })
+}
 
 // ---------------------------------------------------------------------------
 // Configuration
@@ -1022,8 +1122,9 @@ impl Process for DfShard {
 /// ```rust
 /// use tca_sim::{Payload, RpcRequest, Sim, SimDuration};
 /// use tca_storage::Value;
-/// use tca_txn::dataflow::{deploy_dataflow, DataflowConfig, DfShard};
-/// use tca_txn::deterministic::{transfer_registry, SubmitTxn};
+/// use tca_txn::dataflow::{
+///     deploy_dataflow, transfer_registry, DataflowConfig, DfShard, SubmitTxn,
+/// };
 ///
 /// let mut sim = Sim::with_seed(9);
 /// let seq_node = sim.add_node();
@@ -1109,7 +1210,6 @@ pub fn deploy_dataflow(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deterministic::transfer_registry;
     use tca_messaging::rpc::{RetryPolicy, RpcClient, RpcEvent};
     use tca_sim::{Sim, SimTime};
 

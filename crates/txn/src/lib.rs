@@ -10,11 +10,10 @@
 //!   failure.
 //! - [`actor_txn`] — Orleans-style lock-based actor transactions layered
 //!   on the unmodified actor runtime.
-//! - [`deterministic`] — Calvin/Styx-style sequencer-ordered deterministic
-//!   transactions: serializable without locks or aborts.
-//! - [`dataflow`] — the scaled-up deterministic engine: epoch batching,
-//!   conflict-wave parallelism over consistent-hash shards, durable
-//!   checkpoint/replay recovery, exactly-once output.
+//! - [`dataflow`] — Calvin/Styx-style deterministic transactions,
+//!   serializable without locks or aborts: epoch batching, conflict-wave
+//!   parallelism over consistent-hash shards, durable checkpoint/replay
+//!   recovery, exactly-once output.
 //! - [`sharding`] — cross-shard transaction construction: partition-keyed
 //!   operations become 2PC branches via the shared placement map.
 //! - [`workflow`] — Beldi-style exactly-once workflows: durable intent
@@ -34,7 +33,6 @@ pub mod actor_txn;
 pub mod causal;
 pub mod checker;
 pub mod dataflow;
-pub mod deterministic;
 pub mod mc_scenarios;
 pub mod saga;
 pub mod sharding;
@@ -48,10 +46,9 @@ pub use actor_txn::{
 };
 pub use causal::{CausalMailbox, CausalMessage, VectorClock};
 pub use checker::{check_serializability, AtomicityAudit, EffectAudit, SerializabilityVerdict};
-pub use dataflow::{deploy_dataflow, DataflowConfig, DfSequencer, DfShard, DfTxn};
-pub use deterministic::{
-    deploy_deterministic, transfer_registry, DetRegistry, DetShard, Sequencer, SequencerConfig,
-    SubmitTxn, TxnOutcome,
+pub use dataflow::{
+    bank_registry, deploy_dataflow, transfer_registry, DataflowConfig, DetRegistry, DfSequencer,
+    DfShard, DfTxn, SubmitTxn, TxnOutcome,
 };
 pub use mc_scenarios::{sharded_twopc_mc_scenario, workflow_mc_scenario};
 pub use saga::{SagaDef, SagaOrchestrator, SagaOutcome, SagaStep, StartSaga};

@@ -17,11 +17,13 @@
 use tca_messaging::rpc::{RetryPolicy, RpcRequest};
 use tca_sim::mc::{McScenario, Schedule};
 use tca_sim::{NetworkConfig, Payload, ProcessId, RpcReply, Sim, SimConfig, SimDuration};
-use tca_storage::{DbMsg, DbRequest, DbServer, DbServerConfig, ProcRegistry, Value};
+use tca_storage::{DbMsg, DbRequest, DbServer, DbServerConfig, Value};
 
 use crate::actor_txn::{transactional_bank_registry, transfer_plan};
-use crate::dataflow::{deploy_dataflow, DataflowConfig, DfSequencer, DfShard};
-use crate::deterministic::{transfer_registry, SubmitTxn};
+use crate::dataflow::{
+    bank_registry, deploy_dataflow, transfer_registry, DataflowConfig, DfSequencer, DfShard,
+    SubmitTxn,
+};
 use crate::saga::{SagaOrchestrator, StartSaga};
 use crate::torture::{actor_driver_factory, checkout_saga, payment_registry, stock_registry};
 use crate::twopc::{
@@ -107,28 +109,6 @@ pub fn twopc_payload_fp(p: &Payload) -> Option<u64> {
     } else {
         p.downcast_ref::<StartDtx>().map(|m| fnv_debug(11, m))
     }
-}
-
-/// The debit/credit bank registry shared by every 2PC checking world.
-fn bank_registry() -> ProcRegistry {
-    ProcRegistry::new()
-        .with("debit", |tx, args| {
-            let key = args[0].as_str().to_owned();
-            let amount = args[1].as_int();
-            let balance = tx.get(&key).map(|v| v.as_int()).unwrap_or(0);
-            if balance < amount {
-                return Err("insufficient".into());
-            }
-            tx.put(&key, Value::Int(balance - amount));
-            Ok(vec![Value::Int(balance - amount)])
-        })
-        .with("credit", |tx, args| {
-            let key = args[0].as_str().to_owned();
-            let amount = args[1].as_int();
-            let balance = tx.get(&key).map(|v| v.as_int()).unwrap_or(0);
-            tx.put(&key, Value::Int(balance + amount));
-            Ok(vec![Value::Int(balance + amount)])
-        })
 }
 
 fn twopc_world(transfers: u64, amount: i64, participant_config: ParticipantConfig) -> Sim {

@@ -28,8 +28,10 @@ use tca_sim::{Boot, Ctx, FaultPlan, Payload, Process, ProcessId, Sim, SimDuratio
 use tca_storage::{DbMsg, DbRequest, DbServer, DbServerConfig, ProcRegistry, Value};
 
 use crate::actor_txn::{transactional_bank_registry, transfer_plan};
-use crate::dataflow::{deploy_dataflow, DataflowConfig, DfSequencer, DfShard};
-use crate::deterministic::{transfer_registry, SubmitTxn};
+use crate::dataflow::{
+    bank_registry, deploy_dataflow, transfer_registry, DataflowConfig, DfSequencer, DfShard,
+    SubmitTxn,
+};
 use crate::saga::{SagaDef, SagaOrchestrator, SagaStep, StartSaga};
 use crate::twopc::{
     CoordinatorConfig, ParticipantConfig, StartDtx, TwoPcCoordinator, TwoPcParticipant,
@@ -52,27 +54,6 @@ fn counter(sim: &Sim, name: &str) -> u64 {
 // ---------------------------------------------------------------------------
 // Two-phase commit
 // ---------------------------------------------------------------------------
-
-fn bank_registry() -> ProcRegistry {
-    ProcRegistry::new()
-        .with("debit", |tx, args| {
-            let key = args[0].as_str().to_owned();
-            let amount = args[1].as_int();
-            let balance = tx.get(&key).map(|v| v.as_int()).unwrap_or(0);
-            if balance < amount {
-                return Err("insufficient".into());
-            }
-            tx.put(&key, Value::Int(balance - amount));
-            Ok(vec![Value::Int(balance - amount)])
-        })
-        .with("credit", |tx, args| {
-            let key = args[0].as_str().to_owned();
-            let amount = args[1].as_int();
-            let balance = tx.get(&key).map(|v| v.as_int()).unwrap_or(0);
-            tx.put(&key, Value::Int(balance + amount));
-            Ok(vec![Value::Int(balance + amount)])
-        })
-}
 
 const TWOPC_TRANSFERS: u64 = 8;
 const TWOPC_AMOUNT: i64 = 10;

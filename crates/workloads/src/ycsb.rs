@@ -80,8 +80,8 @@ pub struct YcsbSampler {
 
 impl YcsbSampler {
     /// Build a sampler. Skew comes from the shared [`KeyChooser`]
-    /// (Zipfian with `scale.theta`), so YCSB draws hot keys exactly the
-    /// way the skewed TPC-C and marketplace generators do.
+    /// (Zipfian with `scale.theta`), the same chooser E19 uses to
+    /// concentrate traffic on hot keys.
     pub fn new(workload: YcsbWorkload, scale: &YcsbScale) -> Self {
         YcsbSampler {
             workload,

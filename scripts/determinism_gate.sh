@@ -15,6 +15,10 @@
 # rpc.shed / breaker.open / retry.budget_exhausted / server.shed
 # counters — two runs must agree on every one of them byte-for-byte.
 #
+# At seed 42 the baseline run must also match the committed
+# experiments_output.txt byte-for-byte, so a change that moves any
+# experiment's numbers has to regenerate that file (and explain why).
+#
 # Usage: scripts/determinism_gate.sh [seed]
 set -eu
 
@@ -47,6 +51,16 @@ else
     echo "TRACE-DETERMINISM-FAIL: tracing perturbed the seed=$SEED run" >&2
     diff "$OUT_A" "$OUT_T" >&2 || true
     exit 1
+fi
+
+if [ "$SEED" = 42 ]; then
+    if cmp -s experiments_output.txt "$OUT_A"; then
+        echo "COMMITTED-OUTPUT-OK: seed=42 run matches experiments_output.txt byte-for-byte"
+    else
+        echo "COMMITTED-OUTPUT-FAIL: seed=42 run differs from experiments_output.txt" >&2
+        diff experiments_output.txt "$OUT_A" >&2 || true
+        exit 1
+    fi
 fi
 
 # Resilience-enabled pair: jittered retries, budgets, breakers, and

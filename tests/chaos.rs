@@ -15,9 +15,9 @@ use tca::sim::{
 };
 use tca::storage::{DbMsg, DbRequest, DbServer, DbServerConfig, ProcRegistry, Value};
 use tca::txn::{
-    actor_torture_scenario, dataflow_torture_scenario, route_branches, saga_torture_scenario,
-    workflow_torture_scenario, CoordinatorConfig, ParticipantConfig, ShardOp, StartDtx,
-    TwoPcCoordinator, TwoPcParticipant,
+    actor_torture_scenario, bank_registry, dataflow_torture_scenario, route_branches,
+    saga_torture_scenario, workflow_torture_scenario, CoordinatorConfig, ParticipantConfig,
+    ShardOp, StartDtx, TwoPcCoordinator, TwoPcParticipant,
 };
 use tca::workloads::loadgen::{db_classifier, ClosedLoopConfig, ClosedLoopGen};
 use tca::workloads::marketplace::{
@@ -385,27 +385,6 @@ fn overload_partition_torture_sweep() {
 /// audit can check atomicity per transfer (debit applied iff credit
 /// applied), conservation across the whole fleet, and no stuck locks or
 /// in-doubt branches anywhere after heal + grace.
-fn sharded_bank_registry() -> ProcRegistry {
-    ProcRegistry::new()
-        .with("debit", |tx, args| {
-            let key = args[0].as_str().to_owned();
-            let amount = args[1].as_int();
-            let balance = tx.get(&key).map(|v| v.as_int()).unwrap_or(0);
-            if balance < amount {
-                return Err("insufficient".into());
-            }
-            tx.put(&key, Value::Int(balance - amount));
-            Ok(vec![Value::Int(balance - amount)])
-        })
-        .with("credit", |tx, args| {
-            let key = args[0].as_str().to_owned();
-            let amount = args[1].as_int();
-            let balance = tx.get(&key).map(|v| v.as_int()).unwrap_or(0);
-            tx.put(&key, Value::Int(balance + amount));
-            Ok(vec![Value::Int(balance + amount)])
-        })
-}
-
 fn sharded_twopc_scenario(seed: u64, plan: &FaultPlan) -> Result<(), String> {
     const SHARDS: usize = 3;
     const TRANSFERS: usize = 8;
@@ -448,7 +427,7 @@ fn sharded_twopc_scenario(seed: u64, plan: &FaultPlan) -> Result<(), String> {
                 TwoPcParticipant::factory_seeded(
                     format!("s{s}"),
                     ParticipantConfig::default(),
-                    sharded_bank_registry(),
+                    bank_registry(),
                     seed_pairs,
                 ),
             )

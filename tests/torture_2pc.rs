@@ -20,10 +20,10 @@ use tca::sim::{
     torture, Ctx, FaultProfile, NetworkConfig, NodeId, Payload, Process, ProcessId, ScriptedFate,
     Sim, SimConfig, SimDuration, SimTime, TortureConfig,
 };
-use tca::storage::{ProcRegistry, Value};
+use tca::storage::Value;
 use tca::txn::{
-    twopc_torture_scenario, CoordinatorConfig, DtxOutcome, ParticipantConfig, StartDtx,
-    TwoPcCoordinator, TwoPcParticipant,
+    bank_registry, twopc_torture_scenario, CoordinatorConfig, DtxOutcome, ParticipantConfig,
+    StartDtx, TwoPcCoordinator, TwoPcParticipant,
 };
 
 // ---------------------------------------------------------------------------
@@ -62,27 +62,6 @@ fn torture_failures_report_the_reproducing_seed() {
 // ---------------------------------------------------------------------------
 // Pinned regressions
 // ---------------------------------------------------------------------------
-
-fn bank_registry() -> ProcRegistry {
-    ProcRegistry::new()
-        .with("debit", |tx, args| {
-            let key = args[0].as_str().to_owned();
-            let amount = args[1].as_int();
-            let balance = tx.get(&key).map(|v| v.as_int()).unwrap_or(0);
-            if balance < amount {
-                return Err("insufficient".into());
-            }
-            tx.put(&key, Value::Int(balance - amount));
-            Ok(vec![Value::Int(balance - amount)])
-        })
-        .with("credit", |tx, args| {
-            let key = args[0].as_str().to_owned();
-            let amount = args[1].as_int();
-            let balance = tx.get(&key).map(|v| v.as_int()).unwrap_or(0);
-            tx.put(&key, Value::Int(balance + amount));
-            Ok(vec![Value::Int(balance + amount)])
-        })
-}
 
 struct Client {
     coordinator: ProcessId,
