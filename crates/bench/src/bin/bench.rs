@@ -23,10 +23,11 @@
 //!
 //! Covers the taxonomy cells ({model × mechanism} transfer workloads,
 //! F1/E1/E3/E7 hot paths), engine commit paths per isolation level (E11),
-//! TPC-C procedures (E9), YCSB mixes, MVCC install/read/gc, and Zipf
-//! sampling. Virtual-time results are printed by the `experiments`
-//! binary; these benches track the *simulator's* wall-clock performance
-//! so substrate regressions show up in CI.
+//! one engine checkpoint interval (E6), TPC-C procedures (E9), YCSB mixes,
+//! MVCC install/read/gc, and Zipf sampling. Virtual-time results are
+//! printed by the `experiments` binary; these benches track the
+//! *simulator's* wall-clock performance so substrate regressions show up
+//! in CI.
 
 use std::time::Duration;
 
@@ -132,6 +133,34 @@ fn bench_engine_commits(bench: &mut Bench) {
             engine.commit(tx)
         });
     }
+}
+
+/// One checkpoint interval of a 30k-row engine: 1,024 commits, 5% of
+/// them read-modify-writes and the rest reads, so every iteration ends in
+/// exactly one checkpoint (WAL-tail fold, truncation, MVCC GC).
+fn bench_checkpoint(bench: &mut Bench) {
+    const ROWS: u64 = 30_000;
+    let mut engine = fresh_engine();
+    for i in 0..ROWS {
+        engine.load(&format!("k{i:05}"), Value::Int(0));
+    }
+    // Build the initial image outside the timed loop: iterations measure
+    // steady-state checkpoints only.
+    engine.take_checkpoint();
+    let interval = EngineConfig::default().checkpoint_every;
+    let mut rng = SimRng::new(8);
+    bench.run("engine/checkpoint", move || {
+        for _ in 0..interval {
+            let key = format!("k{:05}", rng.range(0, ROWS));
+            let tx = engine.begin(IsolationLevel::Serializable);
+            let _ = engine.read(tx, &key);
+            if rng.chance(0.05) {
+                let _ = engine.write(tx, &key, Some(Value::Int(1)));
+            }
+            let _ = engine.commit(tx);
+        }
+        engine.clock()
+    });
 }
 
 fn bench_tpcc_procs(bench: &mut Bench) {
@@ -256,6 +285,7 @@ fn main() {
         bench_cells(&mut bench);
         bench_contention(&mut bench);
         bench_engine_commits(&mut bench);
+        bench_checkpoint(&mut bench);
         bench_tpcc_procs(&mut bench);
         bench_ycsb(&mut bench);
         bench_mvcc(&mut bench);

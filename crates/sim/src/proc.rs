@@ -83,6 +83,12 @@ impl Disk {
     }
 
     /// Read back a clone of the value stored under `key`.
+    ///
+    /// The clone is of the whole value, so a large value (a state
+    /// snapshot, a journal entry) does not belong behind a `get` on a hot
+    /// path. Store a shared handle instead — a `DurableCell` or
+    /// `DurableLog` from `tca-storage` — once, at boot, and read or edit
+    /// it in place through the handle.
     pub fn get<T: Any + Clone>(&self, key: &str) -> Option<T> {
         self.reads.set(self.reads.get() + 1);
         self.entries

@@ -4,13 +4,22 @@
 //! at a snapshot timestamp see the newest version at or below it; deletes
 //! are tombstones. Old versions are reclaimed by [`MvccStore::gc`] once no
 //! snapshot can observe them.
+//!
+//! GC costs what changed, not what is stored: a key holding one live
+//! version has nothing to reclaim, so `gc` visits only the keys that have
+//! more than one version or a tombstone. [`MvccStore::install`] lists a
+//! key as a GC candidate on the write that makes it reclaimable — its
+//! second version, or a tombstone as its only one — and `gc` keeps listed
+//! only the keys that still qualify after trimming, so the list holds
+//! each such key exactly once and needs no dedup. Writes to keys already
+//! listed pay nothing extra.
 
 use std::collections::BTreeMap;
 
 use crate::types::{Key, Timestamp, Value};
 
 /// One committed version of a key.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Version {
     /// Commit timestamp that produced this version.
     pub ts: Timestamp,
@@ -22,6 +31,17 @@ pub struct Version {
 #[derive(Debug, Default, Clone)]
 pub struct MvccStore {
     data: BTreeMap<Key, Vec<Version>>,
+    /// Keys [`MvccStore::gc`] must visit: exactly the [`reclaimable`]
+    /// keys, each listed once. A key is added when a push makes it
+    /// reclaimable and dropped by the `gc` that leaves it not.
+    gc_candidates: Vec<Key>,
+}
+
+/// Whether GC can have work on a key with these versions: more than one
+/// version, or a lone tombstone. A key with a single live version has
+/// nothing to reclaim at any horizon.
+fn reclaimable(versions: &[Version]) -> bool {
+    versions.len() > 1 || versions.first().is_some_and(|v| v.value.is_none())
 }
 
 impl MvccStore {
@@ -34,8 +54,12 @@ impl MvccStore {
     ///
     /// Panics if `ts` is not newer than the key's latest version — commits
     /// must be applied in timestamp order.
+    ///
+    /// Lists the key as a GC candidate when this version makes it
+    /// reclaimable: its second version, or a tombstone as its only one.
     pub fn install(&mut self, key: &Key, ts: Timestamp, value: Option<Value>) {
         let versions = self.data.entry(key.clone()).or_default();
+        let listed = reclaimable(versions);
         if let Some(last) = versions.last() {
             assert!(
                 ts >= last.ts,
@@ -44,6 +68,9 @@ impl MvccStore {
             );
         }
         versions.push(Version { ts, value });
+        if !listed && reclaimable(versions) {
+            self.gc_candidates.push(key.clone());
+        }
     }
 
     /// Read the newest version of `key` visible at snapshot `ts`.
@@ -78,21 +105,35 @@ impl MvccStore {
     /// For every key, the newest version at or below the horizon is kept
     /// (it is still visible); everything older goes. Returns the number of
     /// versions reclaimed.
+    ///
+    /// Only the listed GC candidates are visited.
     pub fn gc(&mut self, horizon: Timestamp) -> usize {
         let mut reclaimed = 0;
-        self.data.retain(|_, versions| {
+        let data = &mut self.data;
+        self.gc_candidates.retain(|key| {
+            let versions = data.get_mut(key).expect("listed keys are stored");
             // Index of the newest version visible at the horizon.
             let keep_from = versions.iter().rposition(|v| v.ts <= horizon).unwrap_or(0);
             reclaimed += keep_from;
             versions.drain(..keep_from);
             // Fully remove keys whose only remaining state is one tombstone
             // older than the horizon.
-            !(versions.len() == 1 && versions[0].value.is_none() && versions[0].ts <= horizon)
+            let dead =
+                versions.len() == 1 && versions[0].value.is_none() && versions[0].ts <= horizon;
+            if dead {
+                data.remove(key);
+                return false;
+            }
+            reclaimable(versions)
         });
         reclaimed
     }
 
-    /// Materialize the latest committed state (for checkpoints).
+    /// Materialize the latest committed state in one pass over every key.
+    ///
+    /// Builds a checkpoint image from scratch (the engine does so only when
+    /// it has no image yet; later checkpoints fold the WAL tail into the
+    /// existing one) and serves as the oracle for tests of that fold.
     pub fn snapshot_latest(&self) -> BTreeMap<Key, Value> {
         self.data
             .iter()
@@ -108,10 +149,7 @@ impl MvccStore {
     /// Bulk-load a materialized state at timestamp `ts` (recovery).
     pub fn load_snapshot(&mut self, snapshot: BTreeMap<Key, Value>, ts: Timestamp) {
         for (k, v) in snapshot {
-            self.data
-                .entry(k)
-                .or_default()
-                .push(Version { ts, value: Some(v) });
+            self.install(&k, ts, Some(v));
         }
     }
 
@@ -232,6 +270,119 @@ mod tests {
         let orders: Vec<_> = s.scan_latest("order/").collect();
         assert_eq!(orders.len(), 2);
         assert!(orders.iter().all(|(k, _)| k.starts_with("order/")));
+    }
+
+    /// The full-scan GC that candidate-only [`MvccStore::gc`] replaces:
+    /// trim every key, drop keys left holding one old tombstone.
+    fn reference_gc(data: &mut BTreeMap<Key, Vec<Version>>, horizon: Timestamp) -> usize {
+        let mut reclaimed = 0;
+        data.retain(|_, versions| {
+            let keep_from = versions.iter().rposition(|v| v.ts <= horizon).unwrap_or(0);
+            reclaimed += keep_from;
+            versions.drain(..keep_from);
+            !(versions.len() == 1 && versions[0].value.is_none() && versions[0].ts <= horizon)
+        });
+        reclaimed
+    }
+
+    /// One step of the GC-equivalence property: `(op, key, value)`. `op`
+    /// picks install value / install tombstone / GC at a horizon `value`
+    /// steps behind the clock / `load_snapshot` of three keys from `key`.
+    type GcStep = (u8, u8, u8);
+
+    fn gc_equivalence_prop(steps: &[GcStep]) {
+        let mut store = MvccStore::new();
+        let mut reference = BTreeMap::new();
+        let mut ts = 0;
+        for (i, &(op, key, value)) in steps.iter().enumerate() {
+            ts += 1;
+            let k = format!("k{key}");
+            match op {
+                0 => store.install(&k, ts, Some(Value::Int(value.into()))),
+                1 => store.install(&k, ts, None),
+                2 => {
+                    let horizon = ts.saturating_sub(value.into());
+                    let expected = reference_gc(&mut reference, horizon);
+                    assert_eq!(store.gc(horizon), expected, "step {i}: reclaimed");
+                    assert_eq!(store.data, reference, "step {i}: history");
+                }
+                _ => {
+                    let snapshot = (key..key + 3)
+                        .map(|k| (format!("k{}", k % 6), Value::Int(value.into())))
+                        .collect();
+                    store.load_snapshot(snapshot, ts);
+                }
+            }
+            if op != 2 {
+                reference.clone_from(&store.data);
+            }
+            let mut listed = store.gc_candidates.clone();
+            listed.sort();
+            let reclaimable_keys: Vec<Key> = store
+                .data
+                .iter()
+                .filter(|(_, versions)| reclaimable(versions))
+                .map(|(k, _)| k.clone())
+                .collect();
+            assert_eq!(listed, reclaimable_keys, "step {i}: each candidate once");
+            let versions: usize = reference.values().map(Vec::len).sum();
+            assert_eq!(store.version_count(), versions, "step {i}: versions");
+            let live = reference
+                .values()
+                .filter(|v| v.last().is_some_and(|v| v.value.is_some()))
+                .count();
+            assert_eq!(store.live_keys(), live, "step {i}: live keys");
+        }
+    }
+
+    /// Candidate-only GC reclaims exactly what a full scan would, and
+    /// leaves the same history behind, under random installs, tombstones,
+    /// GCs at lagging horizons and snapshot loads onto a non-empty store.
+    #[test]
+    fn candidate_gc_matches_full_scan() {
+        use tca_sim::check::{check, tuple3, u8_in, vec_of};
+        let steps = vec_of(tuple3(u8_in(0, 4), u8_in(0, 6), u8_in(0, 6)), 1, 120);
+        check("candidate_gc_matches_full_scan", &steps, |steps| {
+            gc_equivalence_prop(steps)
+        });
+    }
+
+    #[test]
+    fn gc_revisits_keys_trimmed_then_rewritten() {
+        let mut s = MvccStore::new();
+        s.install(&k("a"), 1, Some(Value::Int(1)));
+        s.install(&k("a"), 2, Some(Value::Int(2)));
+        assert_eq!(s.gc(2), 1, "trimmed back to one version");
+        // Unlisted now, until a second version makes it reclaimable again.
+        s.install(&k("a"), 3, Some(Value::Int(3)));
+        assert_eq!(s.gc(3), 1);
+        assert_eq!(s.version_count(), 1);
+        assert_eq!(s.read_latest("a"), Some(&Value::Int(3)));
+    }
+
+    #[test]
+    fn gc_keeps_tombstones_above_the_horizon() {
+        let mut s = MvccStore::new();
+        s.install(&k("a"), 4, None);
+        s.install(&k("b"), 1, Some(Value::Int(1)));
+        s.install(&k("b"), 5, None);
+        assert_eq!(s.gc(3), 0, "both tombstones are newer than the horizon");
+        assert!(s.has_history("a") && s.has_history("b"));
+        assert_eq!(s.gc(4), 0);
+        assert!(!s.has_history("a"), "old lone tombstone removed");
+        assert_eq!(s.gc(5), 1);
+        assert!(!s.has_history("b"));
+        assert_eq!(s.version_count(), 0);
+    }
+
+    #[test]
+    fn gc_sees_keys_a_snapshot_load_gave_a_second_version() {
+        let mut s = MvccStore::new();
+        s.install(&k("a"), 1, Some(Value::Int(1)));
+        s.load_snapshot(BTreeMap::from([(k("a"), Value::Int(2))]), 2);
+        assert_eq!(s.version_count(), 2);
+        assert_eq!(s.gc(2), 1);
+        assert_eq!(s.read_latest("a"), Some(&Value::Int(2)));
     }
 
     #[test]

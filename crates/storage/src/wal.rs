@@ -6,6 +6,13 @@
 //! that performed them returns (the kernel guarantees crashes only occur
 //! between handlers), which models fsync-per-commit. Fsync *latency* is
 //! charged separately by the database server when it delays its replies.
+//!
+//! Both objects are mutated in place through their handles: a log is
+//! read with the non-cloning [`DurableLog::for_each_from`] visitor, and a
+//! cell's value is edited with [`DurableCell::update`]. That is what lets
+//! a checkpoint image be maintained incrementally — the engine folds the
+//! log tail since the previous checkpoint into the stored image, so a
+//! checkpoint costs what changed rather than what is stored.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -65,7 +72,7 @@ impl<T> DurableLog<T> {
     }
 }
 
-impl<T: Clone> DurableLog<T> {
+impl<T> DurableLog<T> {
     /// Append a record; returns its logical sequence number.
     pub fn append(&self, record: T) -> u64 {
         let mut inner = self.inner.borrow_mut();
@@ -80,11 +87,17 @@ impl<T: Clone> DurableLog<T> {
         inner.base_lsn + inner.records.len() as u64
     }
 
-    /// Clone out all records with LSN ≥ `from` (recovery replay).
-    pub fn read_from(&self, from: u64) -> Vec<T> {
+    /// Visit every retained record with LSN ≥ `from`, in LSN order,
+    /// without cloning (checkpoint folds and recovery replay).
+    ///
+    /// The log is borrowed for the duration of the visit: `visit` must not
+    /// append to or truncate this log.
+    pub fn for_each_from(&self, from: u64, mut visit: impl FnMut(&T)) {
         let inner = self.inner.borrow();
         let skip = from.saturating_sub(inner.base_lsn) as usize;
-        inner.records.iter().skip(skip).cloned().collect()
+        for record in inner.records.iter().skip(skip) {
+            visit(record);
+        }
     }
 
     /// Discard records below `lsn` (safe once a checkpoint covers them).
@@ -134,14 +147,19 @@ impl<T> DurableCell<T> {
             inner: Rc::new(RefCell::new(None)),
         }
     }
+
+    /// Edit the stored slot in place (`None` = nothing stored yet) and
+    /// return what `edit` returns. The edit is durable when the handler
+    /// performing it returns, like any other durable write.
+    ///
+    /// The cell is borrowed for the duration of the edit: `edit` must not
+    /// touch this cell through another handle.
+    pub fn update<R>(&self, edit: impl FnOnce(&mut Option<T>) -> R) -> R {
+        edit(&mut self.inner.borrow_mut())
+    }
 }
 
 impl<T: Clone> DurableCell<T> {
-    /// Atomically replace the stored value.
-    pub fn store(&self, value: T) {
-        *self.inner.borrow_mut() = Some(value);
-    }
-
     /// Clone out the stored value, if any.
     pub fn load(&self) -> Option<T> {
         self.inner.borrow().clone()
@@ -168,6 +186,12 @@ pub struct Checkpoint<S> {
 mod tests {
     use super::*;
 
+    fn read_from<T: Clone>(log: &DurableLog<T>, from: u64) -> Vec<T> {
+        let mut out = Vec::new();
+        log.for_each_from(from, |r| out.push(r.clone()));
+        out
+    }
+
     #[test]
     fn append_assigns_sequential_lsns() {
         let log = DurableLog::new();
@@ -175,8 +199,8 @@ mod tests {
         assert_eq!(log.append(2), 1);
         assert_eq!(log.append(3), 2);
         assert_eq!(log.next_lsn(), 3);
-        assert_eq!(log.read_from(1), vec![2, 3]);
-        assert_eq!(log.read_from(5), Vec::<u32>::new());
+        assert_eq!(read_from(&log, 1), vec![2, 3]);
+        assert_eq!(read_from(&log, 5), Vec::<u32>::new());
     }
 
     #[test]
@@ -187,13 +211,13 @@ mod tests {
         }
         log.truncate_to(4);
         assert_eq!(log.len(), 6);
-        assert_eq!(log.read_from(4), (4..10).collect::<Vec<u32>>());
+        assert_eq!(read_from(&log, 4), (4..10).collect::<Vec<u32>>());
         // LSNs keep counting from where they were.
         assert_eq!(log.append(10), 10);
-        assert_eq!(log.read_from(9), vec![9, 10]);
+        assert_eq!(read_from(&log, 9), vec![9, 10]);
         // Truncating below the base is a no-op.
         log.truncate_to(2);
-        assert_eq!(log.read_from(4)[0], 4);
+        assert_eq!(read_from(&log, 4)[0], 4);
     }
 
     #[test]
@@ -210,18 +234,27 @@ mod tests {
         let a: DurableLog<u8> = DurableLog::new();
         let b = a.clone();
         a.append(7);
-        assert_eq!(b.read_from(0), vec![7]);
+        assert_eq!(read_from(&b, 0), vec![7]);
     }
 
     #[test]
     fn durable_cell_roundtrip() {
-        let c: DurableCell<String> = DurableCell::new();
+        let c: DurableCell<Vec<u8>> = DurableCell::new();
         assert!(!c.is_set());
         assert_eq!(c.load(), None);
-        c.store("snap".into());
-        assert_eq!(c.load().as_deref(), Some("snap"));
+        let was_set = c.update(|slot| {
+            let was_set = slot.is_some();
+            slot.get_or_insert_with(Vec::new).push(1);
+            was_set
+        });
+        assert!(!was_set);
+        assert_eq!(c.load(), Some(vec![1]));
         let d = c.clone();
-        d.store("snap2".into());
-        assert_eq!(c.load().as_deref(), Some("snap2"));
+        d.update(|slot| slot.as_mut().expect("stored").push(2));
+        assert_eq!(
+            c.load(),
+            Some(vec![1, 2]),
+            "edits are shared by every handle"
+        );
     }
 }

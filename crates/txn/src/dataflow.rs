@@ -33,10 +33,13 @@
 //!    the fleet, monotone by construction — bounds how much share/journal
 //!    history anyone must retain.
 //! 5. **Checkpoint/recovery.** Every `checkpoint_every` epochs a shard
-//!    persists a state snapshot; the input journal is garbage-collected
-//!    up to `min(watermark, snapshot)` — local replay needs every epoch
-//!    after the snapshot, peers' share pulls every epoch after the
-//!    watermark. A
+//!    brings its durable state snapshot up to date *in place*: the
+//!    snapshot lives in one durable cell on the shard's disk, and only
+//!    the keys written since the previous snapshot are copied into it, so
+//!    a checkpoint costs what changed, not the shard's whole state. The
+//!    input journal is garbage-collected up to `min(watermark,
+//!    snapshot)` — local replay needs every epoch after the snapshot,
+//!    peers' share pulls every epoch after the watermark. A
 //!    crashed shard reboots from the snapshot, locally re-executes the
 //!    journaled epochs (their full read sets were persisted, so replay
 //!    needs no network), re-acknowledges its durable position, and the
@@ -52,7 +55,7 @@ use tca_sim::DetHashMap as HashMap;
 
 use tca_messaging::rpc::{reply_to, RpcRequest};
 use tca_sim::{Boot, Ctx, Payload, Process, ProcessId, ShardMap, SimDuration};
-use tca_storage::{ProcRegistry, Value};
+use tca_storage::{DurableCell, ProcRegistry, Value};
 
 // ---------------------------------------------------------------------------
 // Procedures and the client protocol
@@ -513,12 +516,13 @@ struct ShardJournalEntry {
     reads: Vec<Vec<(String, Value)>>,
 }
 
-/// Durable state snapshot taken every [`DataflowConfig::checkpoint_every`]
-/// epochs.
-#[derive(Debug, Clone)]
+/// Durable state snapshot, brought up to date every
+/// [`DataflowConfig::checkpoint_every`] epochs. Held in one
+/// [`DurableCell`] on the shard's disk and updated in place.
+#[derive(Debug, Clone, Default)]
 struct Snapshot {
     epoch: u64,
-    state: Vec<(String, Value)>,
+    state: HashMap<String, Value>,
 }
 
 /// One hosted transaction while its epoch is in flight.
@@ -558,6 +562,15 @@ pub struct DfShard {
     index: usize,
     config: DataflowConfig,
     state: HashMap<String, Value>,
+    /// Keys of `state` written since the durable snapshot was last
+    /// brought up to date (repeats allowed). Volatile: after a restart,
+    /// journal replay rewrites — and so re-lists — every key the snapshot
+    /// lacks.
+    dirty: Vec<String>,
+    /// The durable snapshot, shared with the disk entry `snap`.
+    snap: DurableCell<Snapshot>,
+    /// Epoch the durable snapshot covers (mirrors `snap`).
+    snap_epoch: u64,
     /// Highest epoch durably applied (mirrors the disk `applied` cell).
     applied: u64,
     /// Epochs received but not yet runnable (gap or one already running).
@@ -588,12 +601,14 @@ impl DfShard {
         config: DataflowConfig,
         boot: &mut Boot,
     ) -> Self {
-        let mut state: HashMap<String, Value> = HashMap::default();
-        let mut snap_epoch = 0;
-        if let Some(snap) = boot.disk.get::<Snapshot>("snap") {
-            snap_epoch = snap.epoch;
-            state.extend(snap.state);
-        }
+        let snap: DurableCell<Snapshot> = boot.disk.get("snap").unwrap_or_else(|| {
+            let cell = DurableCell::new();
+            boot.disk.put("snap", cell.clone());
+            cell
+        });
+        let (snap_epoch, state) = snap
+            .load()
+            .map_or((0, HashMap::default()), |s| (s.epoch, s.state));
         let applied = boot.disk.get::<u64>("applied").unwrap_or(0);
         let mut shard = DfShard {
             registry,
@@ -603,6 +618,9 @@ impl DfShard {
             index,
             config,
             state,
+            dirty: Vec::new(),
+            snap,
+            snap_epoch,
             applied: snap_epoch,
             buffered: HashMap::default(),
             run: None,
@@ -634,11 +652,27 @@ impl DfShard {
             if let Ok(writes) = result {
                 for (key, value) in writes {
                     if self.map.owner(&key) == self.index {
+                        self.dirty.push(key.clone());
                         self.state.insert(key, value);
                     }
                 }
             }
         }
+    }
+
+    /// Bring the durable snapshot up to `epoch` by copying in only the
+    /// keys written since it was last updated.
+    fn checkpoint(&mut self, epoch: u64) {
+        let (dirty, state) = (std::mem::take(&mut self.dirty), &self.state);
+        self.snap.update(|slot| {
+            let snap = slot.get_or_insert_with(Snapshot::default);
+            for key in dirty {
+                let value = state[&key].clone();
+                snap.state.insert(key, value);
+            }
+            snap.epoch = epoch;
+        });
+        self.snap_epoch = epoch;
     }
 
     fn participants_of(&self, txn: &DfTxn) -> Vec<usize> {
@@ -673,8 +707,7 @@ impl DfShard {
         // Journal entries serve two masters: local replay needs
         // everything after the snapshot, peers' share pulls need
         // everything after the watermark. Drop what neither can ask for.
-        let snap = ctx.disk().get::<Snapshot>("snap").map_or(0, |s| s.epoch);
-        let bound = watermark.min(snap);
+        let bound = watermark.min(self.snap_epoch);
         while self.jrnl_gc < bound {
             self.jrnl_gc += 1;
             ctx.disk().remove(&format!("jrnl/{}", self.jrnl_gc));
@@ -814,6 +847,7 @@ impl DfShard {
                             "write outside declared set: {key}"
                         );
                         if self.map.owner(key) == self.index {
+                            self.dirty.push(key.clone());
                             self.state.insert(key.clone(), value.clone());
                         }
                     }
@@ -891,15 +925,7 @@ impl DfShard {
         self.applied = epoch;
         ctx.disk().put("applied", epoch);
         if epoch.is_multiple_of(self.config.checkpoint_every) {
-            let snapshot = Snapshot {
-                epoch,
-                state: self
-                    .state
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect(),
-            };
-            ctx.disk().put("snap", snapshot);
+            self.checkpoint(epoch);
             ctx.metrics().incr("df.checkpoints", 1);
             // Journal entries at or below the snapshot are no longer
             // needed for replay, but peers may still pull shares from
@@ -1447,6 +1473,126 @@ mod tests {
         assert_eq!(sim.metrics().counter("client.ok"), 10);
         assert_eq!(sim.metrics().counter("client.dup"), 0);
         assert!(sim.metrics().counter("df.checkpoints") > 0);
+    }
+
+    /// Epoch `e` of the paced plan: three transfers over six keys that no
+    /// other epoch touches, so every key is written exactly once.
+    fn paced_epoch(e: usize) -> Vec<SubmitTxn> {
+        (0..3)
+            .map(|j| {
+                transfer(
+                    &format!("e{e}k{}", 2 * j),
+                    &format!("e{e}k{}", 2 * j + 1),
+                    j as i64 + 1,
+                )
+            })
+            .collect()
+    }
+
+    const PACED_EPOCHS: usize = 16;
+
+    /// Run the paced plan on 3 shards snapshotting every 4 epochs: epoch
+    /// `e` is submitted alone, 5 ms after epoch `e - 1`, so the fleet is
+    /// idle between epochs. After the victim shard has applied each epoch
+    /// in `crash_after` it crashes, and restarts 3 ms later — while the
+    /// next epoch is in flight.
+    fn run_paced(victim: usize, crash_after: &[usize]) -> (Sim, Vec<ProcessId>) {
+        let config = DataflowConfig {
+            checkpoint_every: 4,
+            ..DataflowConfig::default()
+        };
+        let mut sim = Sim::with_seed(77);
+        let seq_node = sim.add_node();
+        let shard_nodes = sim.add_nodes(3);
+        let (sequencer, pids) = deploy_dataflow(
+            &mut sim,
+            seq_node,
+            &shard_nodes,
+            &transfer_registry(),
+            3,
+            config,
+        );
+        let client_node = sim.add_node();
+        let victim_node = sim.node_of(pids[victim]);
+        for e in 1..=PACED_EPOCHS {
+            let plan = paced_epoch(e);
+            sim.spawn(client_node, format!("client-{e}"), move |_| {
+                Box::new(Client {
+                    sequencer,
+                    plan: plan.clone(),
+                    rpc: RpcClient::new(),
+                    seen: Vec::new(),
+                })
+            });
+            sim.run_for(SimDuration::from_millis(5));
+            if crash_after.contains(&e) {
+                // A restarted victim catches up through share pulls, so
+                // it may still be behind: crash it only once it has
+                // applied epoch `e` (no later epoch exists yet).
+                let applied = |sim: &Sim| {
+                    sim.inspect::<DfShard>(pids[victim])
+                        .map_or(0, DfShard::applied_epoch)
+                };
+                for _ in 0..1_000 {
+                    if applied(&sim) == e as u64 {
+                        break;
+                    }
+                    sim.run_for(SimDuration::from_millis(1));
+                }
+                assert_eq!(applied(&sim), e as u64, "victim applied epoch {e}");
+                sim.crash_node(victim_node);
+                sim.schedule_restart(sim.now() + SimDuration::from_millis(3), victim_node);
+            }
+        }
+        sim.run_for(SimDuration::from_secs(1));
+        (sim, pids)
+    }
+
+    #[test]
+    fn delta_snapshots_recover_between_checkpoints() {
+        let map = ShardMap::ring_with(3, DataflowConfig::default().vnodes);
+        // The victim owns a key of epoch 1 (written only before the first
+        // snapshot) and keys of epochs 9 and 10 (applied after the second
+        // snapshot, lost in the first crash, re-applied by journal replay
+        // and carried only by the restarted shard's third snapshot).
+        let victim = map.owner("e1k0");
+        for e in [1, 9, 10] {
+            assert!(
+                (0..6).any(|k| map.owner(&format!("e{e}k{k}")) == victim),
+                "placement must give the victim a key of epoch {e}"
+            );
+        }
+        let (base, base_pids) = run_paced(victim, &[]);
+        // Crash after epoch 10 (between the snapshots at 8 and 12), then
+        // after epoch 13 (between 12 and 16): the second boot loads the
+        // snapshot the replaying incarnation brought up to date.
+        let (sim, pids) = run_paced(victim, &[10, 13]);
+        let transfers = 3 * PACED_EPOCHS as u64;
+        for run in [&base, &sim] {
+            assert_eq!(run.metrics().counter("client.ok"), transfers);
+            assert_eq!(
+                run.metrics().counter("client.dup"),
+                0,
+                "exactly-once output"
+            );
+        }
+        assert!(
+            sim.metrics().counter("df.checkpoints") >= 3 * 3,
+            "every shard snapshots at least three times"
+        );
+        let keys: Vec<String> = (1..=PACED_EPOCHS)
+            .flat_map(|e| (0..6).map(move |k| format!("e{e}k{k}")))
+            .collect();
+        let mut total = 0;
+        for key in &keys {
+            for (&pid, &base_pid) in pids.iter().zip(&base_pids) {
+                let got = sim.inspect::<DfShard>(pid).expect("shard").peek(key);
+                let want = base.inspect::<DfShard>(base_pid).expect("shard").peek(key);
+                assert_eq!(got, want, "{key} diverged from the crash-free run");
+                total += got.map_or(0, Value::as_int);
+            }
+        }
+        assert_eq!(total, 100 * keys.len() as i64, "money is conserved");
     }
 
     #[test]
