@@ -1910,7 +1910,7 @@ pub fn e17_overload_resilience(seed: u64) -> Vec<Row> {
 pub fn e18_model_check(_seed: u64) -> Vec<Row> {
     use tca_sim::mc::{explore, McConfig, McReport};
     use tca_sim::NodeId;
-    use tca_txn::mc_scenarios::{
+    use tca_txn::scenarios::{
         actor_mc_scenario, saga_mc_scenario, twopc_late_execute_mutation_scenario,
         twopc_mc_scenario,
     };

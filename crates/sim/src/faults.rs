@@ -163,6 +163,12 @@ impl FaultPlan {
         }
     }
 
+    /// Whether the plan injects no fault at all: no scheduled events and
+    /// no ambient loss or duplication.
+    pub fn is_benign(&self) -> bool {
+        self.events.is_empty() && self.drop_prob == 0.0 && self.dup_prob == 0.0
+    }
+
     /// Generate a random plan within `profile` bounds. Generation draws
     /// only from `rng`, so equal seeds give equal plans.
     pub fn generate(rng: &mut SimRng, profile: &FaultProfile, n_crashable: usize) -> Self {
@@ -423,6 +429,9 @@ mod tests {
     #[test]
     fn benign_plan_changes_nothing() {
         let plan = FaultPlan::benign(SimDuration::from_millis(10));
+        assert!(plan.is_benign());
+        let generated = FaultPlan::generate(&mut SimRng::new(3), &FaultProfile::default(), 1);
+        assert!(!generated.is_benign());
         let mut sim = Sim::with_seed(1);
         let n0 = sim.add_node();
         let n1 = sim.add_node();

@@ -374,50 +374,11 @@ pub fn transfer_plan(txid: &str, from: &str, to: &str, amount: i64) -> Vec<Value
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tca_models::actor::{
-        ActorCompletion, ActorRouter, ActorSilo, Directory, DirectoryConfig, SiloConfig,
-    };
-    use tca_sim::{Ctx, Payload, Process, ProcessId, Sim, SimDuration};
+    use crate::scenarios::{actor_driver, ActorStep};
+    use tca_models::actor::{ActorSilo, Directory, DirectoryConfig, SiloConfig};
+    use tca_sim::{Sim, SimDuration};
 
-    struct Driver {
-        router: ActorRouter,
-        plan: Vec<(ActorId, String, Vec<Value>)>,
-        at: usize,
-    }
-    impl Driver {
-        fn next(&mut self, ctx: &mut Ctx) {
-            if self.at < self.plan.len() {
-                let (id, method, args) = self.plan[self.at].clone();
-                self.at += 1;
-                self.router.invoke(ctx, id, method, args, self.at as u64);
-            }
-        }
-        fn absorb(&mut self, ctx: &mut Ctx, completions: Vec<ActorCompletion>) {
-            for completion in completions {
-                match completion.result {
-                    Ok(_) => ctx.metrics().incr("driver.ok", 1),
-                    Err(_) => ctx.metrics().incr("driver.err", 1),
-                }
-                self.next(ctx);
-            }
-        }
-    }
-    impl Process for Driver {
-        fn on_start(&mut self, ctx: &mut Ctx) {
-            self.next(ctx);
-        }
-        fn on_message(&mut self, ctx: &mut Ctx, _from: ProcessId, payload: Payload) {
-            let completions = self.router.on_message(ctx, &payload);
-            self.absorb(ctx, completions);
-        }
-        fn on_timer(&mut self, ctx: &mut Ctx, tag: u64) {
-            if let Some(completions) = self.router.on_timer(ctx, tag) {
-                self.absorb(ctx, completions);
-            }
-        }
-    }
-
-    fn world(plan: Vec<(ActorId, String, Vec<Value>)>) -> Sim {
+    fn world(plan: Vec<ActorStep>) -> Sim {
         let mut sim = Sim::with_seed(131);
         let nd = sim.add_node();
         let ns1 = sim.add_node();
@@ -434,21 +395,16 @@ mod tests {
                 ),
             );
         }
-        sim.spawn(nc, "driver", move |_| {
-            Box::new(Driver {
-                router: ActorRouter::new(directory),
-                plan: plan.clone(),
-                at: 0,
-            })
-        });
+        sim.spawn(nc, "driver", actor_driver(directory, plan));
         sim
     }
 
-    fn run_txn(txid: &str, from: &str, to: &str, amount: i64) -> (ActorId, String, Vec<Value>) {
+    fn run_txn(txid: &str, from: &str, to: &str, amount: i64) -> ActorStep {
         (
             ActorId::new("txncoord", txid),
             "run".into(),
             transfer_plan(txid, from, to, amount),
+            "txn",
         )
     }
 
@@ -457,11 +413,12 @@ mod tests {
         let mut sim = world(vec![
             run_txn("t1", "a", "b", 40),
             // Direct read of a afterwards: 60.
-            (ActorId::new("account", "a"), "read".into(), vec![]),
+            (ActorId::new("account", "a"), "read".into(), vec![], "read"),
         ]);
         sim.run_for(SimDuration::from_millis(300));
-        assert_eq!(sim.metrics().counter("driver.ok"), 2);
-        assert_eq!(sim.metrics().counter("driver.err"), 0);
+        assert_eq!(sim.metrics().counter("torture.txn_ok"), 1);
+        assert_eq!(sim.metrics().counter("torture.txn_err"), 0);
+        assert_eq!(sim.metrics().counter("torture.read_sum"), 60);
     }
 
     #[test]
@@ -473,8 +430,8 @@ mod tests {
             run_txn("t2", "a", "b", 100),
         ]);
         sim.run_for(SimDuration::from_millis(400));
-        assert_eq!(sim.metrics().counter("driver.err"), 1);
-        assert_eq!(sim.metrics().counter("driver.ok"), 1);
+        assert_eq!(sim.metrics().counter("torture.txn_err"), 1);
+        assert_eq!(sim.metrics().counter("torture.txn_ok"), 1);
     }
 
     #[test]
@@ -486,7 +443,7 @@ mod tests {
             .collect();
         let mut sim = world(plan);
         sim.run_for(SimDuration::from_millis(600));
-        assert_eq!(sim.metrics().counter("driver.ok"), 4);
+        assert_eq!(sim.metrics().counter("torture.txn_ok"), 4);
         // Fifth would fail:
         let mut sim2 = world(
             (0..5)
@@ -494,7 +451,7 @@ mod tests {
                 .collect(),
         );
         sim2.run_for(SimDuration::from_millis(800));
-        assert_eq!(sim2.metrics().counter("driver.err"), 1);
+        assert_eq!(sim2.metrics().counter("torture.txn_err"), 1);
     }
 
     #[test]

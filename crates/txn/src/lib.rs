@@ -22,6 +22,8 @@
 //! - [`checker`] — serializability (DSG cycle detection), exactly-once,
 //!   and atomicity audits over what the system *actually did*.
 //! - [`causal`] — vector clocks and causal delivery (Antipode direction).
+//! - [`scenarios`] — the protocol worlds, each written once and checked by
+//!   both the seeded torture sweep and the exhaustive model checker.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -33,12 +35,16 @@ pub mod actor_txn;
 pub mod causal;
 pub mod checker;
 pub mod dataflow;
-pub mod mc_scenarios;
 pub mod saga;
+pub mod scenarios;
 pub mod sharding;
-pub mod torture;
 pub mod twopc;
 pub mod workflow;
+
+// The repo benchmark (`perfbench/`) imports
+// `tca_txn::mc_scenarios::twopc_mc_scenario` and cannot change with the
+// library, so the model-checking worlds keep their old path too.
+pub use scenarios as mc_scenarios;
 
 pub use actor_txn::{
     encode_plan, transactional_bank_registry, transfer_plan, TransactionalActor, TxnCoordinator,
@@ -50,13 +56,13 @@ pub use dataflow::{
     bank_registry, deploy_dataflow, transfer_registry, DataflowConfig, DetRegistry, DfSequencer,
     DfShard, DfTxn, SubmitTxn, TxnOutcome,
 };
-pub use mc_scenarios::{sharded_twopc_mc_scenario, workflow_mc_scenario};
 pub use saga::{SagaDef, SagaOrchestrator, SagaOutcome, SagaStep, StartSaga};
-pub use sharding::{route_branches, touched_shards, ShardOp};
-pub use torture::{
+pub use scenarios::{
     actor_torture_scenario, dataflow_torture_scenario, saga_torture_scenario,
-    twopc_torture_scenario, workflow_torture_scenario,
+    sharded_twopc_mc_scenario, sharded_twopc_torture_scenario, twopc_torture_scenario,
+    workflow_mc_scenario, workflow_torture_scenario,
 };
+pub use sharding::{route_branches, touched_shards, ShardOp};
 pub use twopc::{
     CoordinatorConfig, DtxOutcome, ParticipantConfig, StartDtx, TwoPcCoordinator, TwoPcParticipant,
 };

@@ -2,10 +2,11 @@
 //!
 //! Three layers of coverage:
 //!
-//! 1. **Cross-validation** — the exhaustive checker and the torture-style
-//!    closure audit must agree that the small protocol worlds are correct:
-//!    bounded exploration reports `verified()` and the fault-free schedule
-//!    replays clean through the same audit.
+//! 1. **Cross-validation** — the exhaustive checker and the torture sweep
+//!    must agree that the protocol worlds are correct: bounded exploration
+//!    reports `verified()`, the fault-free schedule replays clean through
+//!    the world's audit, and the torture driver's benign plan passes the
+//!    same audit.
 //! 2. **Seeded mutation** — re-enabling the PR 2 late-`ExecuteReq` bug via
 //!    `ParticipantConfig::accept_late_execute` must make the checker emit a
 //!    minimal schedule that replays to the same violation deterministically.
@@ -18,15 +19,20 @@
 //! mode; the release-mode E18 experiment and the CI `model-check` job push
 //! the same scenarios much deeper.
 
-use tca_sim::mc::McClosure;
-use tca_sim::mc::{check_schedule, explore};
-use tca_sim::SimDuration;
-use tca_sim::{McConfig, NodeId, Schedule};
-use tca_txn::mc_scenarios::{
-    dataflow_mc_scenario, saga_id_reuse_schedule, saga_mc_scenario, sharded_twopc_mc_scenario,
-    twopc_late_execute_mutation_scenario, twopc_mc_scenario, twopc_txid_reuse_schedule,
-    workflow_mc_scenario,
+use tca_sim::mc::{check_schedule, explore, McClosure, McScenario};
+use tca_sim::{FaultPlan, FaultProfile, McConfig, NodeId, Schedule, SimDuration};
+use tca_txn::scenarios::{
+    actor_mc_scenario, dataflow_mc_scenario, saga_id_reuse_schedule, saga_mc_scenario,
+    sharded_twopc_mc_scenario, twopc_late_execute_mutation_scenario, twopc_mc_scenario,
+    twopc_txid_reuse_schedule, workflow_mc_scenario,
 };
+use tca_txn::{
+    actor_torture_scenario, dataflow_torture_scenario, saga_torture_scenario,
+    sharded_twopc_torture_scenario, twopc_torture_scenario, workflow_torture_scenario,
+};
+
+/// A torture driver: one world under a seeded fault plan.
+type Torture = fn(u64, &FaultPlan) -> Result<(), String>;
 
 fn twopc_cfg() -> McConfig {
     McConfig {
@@ -37,55 +43,69 @@ fn twopc_cfg() -> McConfig {
     }
 }
 
+/// Bounded exploration of `sc` must verify the world without truncation
+/// and without RNG draws.
+fn assert_verified(name: &str, sc: &McScenario, cfg: &McConfig) {
+    let report = explore(sc, cfg);
+    assert!(
+        report.verified(),
+        "expected verified {name} world, got {:?}",
+        report.violation
+    );
+    assert!(report.states > 0, "{name}: exploration must visit states");
+    assert!(
+        !report.truncated,
+        "{name}: state budget truncated the world"
+    );
+    assert!(!report.rng_impure, "{name} world must stay draw-free");
+}
+
+/// Cross-validation: a world is defined once for both drivers, so its
+/// fault-free schedule replays clean through its audit, and the torture
+/// driver's benign plan passes the same audit on the torture-sized world.
+fn assert_drivers_agree(name: &str, sc: &McScenario, cfg: &McConfig, torture: Torture) {
+    assert_eq!(
+        check_schedule(sc, cfg, &Schedule::default()),
+        None,
+        "{name}: fault-free replay must pass the audit"
+    );
+    let benign = FaultPlan::benign(FaultProfile::default().horizon);
+    assert_eq!(
+        torture(1, &benign),
+        Ok(()),
+        "{name}: the benign torture run must pass the same audit"
+    );
+}
+
 #[test]
 fn checker_verifies_small_twopc_and_agrees_with_closure_audit() {
     let sc = twopc_mc_scenario(1);
-    let report = explore(&sc, &twopc_cfg());
-    assert!(
-        report.verified(),
-        "expected verified 2PC world, got {:?}",
-        report.violation
-    );
-    assert!(report.states > 0, "exploration must visit states");
-    assert!(
-        !report.truncated,
-        "state budget must not truncate this world"
-    );
-    assert!(!report.rng_impure, "2PC world must stay draw-free");
-    // Cross-validation: the fault-free schedule runs through the exact
-    // closure + audit the torture sweep uses and must also come back clean.
-    assert_eq!(
-        check_schedule(&sc, &twopc_cfg(), &Schedule::default()),
-        None,
-        "fault-free replay must pass the torture audit"
+    assert_verified("2PC", &sc, &twopc_cfg());
+    assert_drivers_agree("2PC", &sc, &twopc_cfg(), twopc_torture_scenario);
+    // The saga and actor worlds run opaque, so only their fault-free
+    // replays cross-validate here; the actor world takes no crash budget
+    // (silo state is volatile).
+    let saga = saga_mc_scenario(1);
+    assert_drivers_agree("saga", &saga, &twopc_cfg(), saga_torture_scenario);
+    let actor = actor_mc_scenario(2);
+    assert_drivers_agree(
+        "actor",
+        &actor,
+        &McConfig::default(),
+        actor_torture_scenario,
     );
 }
 
 #[test]
 fn checker_verifies_cross_shard_twopc_world() {
-    // The two-shard transfer world: branches addressed through the
-    // consistent-hash ring (route_branches), one participant per touched
-    // shard. Bounded exploration with a coordinator crash must verify
-    // atomicity/conservation *across shards* at every closed leaf, and the
-    // fault-free schedule must replay clean through the same audit.
+    // The two-shard transfer world: each branch goes to the participant
+    // fronting its key's consistent-hash ring shard. Bounded exploration
+    // with a coordinator crash must verify atomicity/conservation *across
+    // shards* at every closed leaf.
     let sc = sharded_twopc_mc_scenario(1);
-    let report = explore(&sc, &twopc_cfg());
-    assert!(
-        report.verified(),
-        "expected verified sharded 2PC world, got {:?}",
-        report.violation
-    );
-    assert!(report.states > 0, "exploration must visit states");
-    assert!(
-        !report.truncated,
-        "state budget must not truncate this world"
-    );
-    assert!(!report.rng_impure, "ring placement must stay draw-free");
-    assert_eq!(
-        check_schedule(&sc, &twopc_cfg(), &Schedule::default()),
-        None,
-        "fault-free replay must pass the cross-shard audit"
-    );
+    assert_verified("sharded 2PC", &sc, &twopc_cfg());
+    let torture = sharded_twopc_torture_scenario;
+    assert_drivers_agree("sharded 2PC", &sc, &twopc_cfg(), torture);
 }
 
 #[test]
@@ -105,25 +125,8 @@ fn checker_verifies_dataflow_world_with_shard_crashes() {
         crashable: vec![NodeId(0)],
         ..McConfig::default()
     };
-    let report = explore(&sc, &cfg);
-    assert!(
-        report.verified(),
-        "expected verified dataflow world, got {:?}",
-        report.violation
-    );
-    assert!(report.states > 0, "exploration must visit states");
-    assert!(
-        !report.truncated,
-        "state budget must not truncate this world"
-    );
-    assert!(!report.rng_impure, "dataflow engine must stay draw-free");
-    // Cross-validation: the fault-free schedule replays clean through the
-    // same audit the torture sweep uses.
-    assert_eq!(
-        check_schedule(&sc, &cfg, &Schedule::default()),
-        None,
-        "fault-free replay must pass the dataflow audit"
-    );
+    assert_verified("dataflow", &sc, &cfg);
+    assert_drivers_agree("dataflow", &sc, &cfg, dataflow_torture_scenario);
 }
 
 #[test]
@@ -145,25 +148,8 @@ fn checker_verifies_workflow_world_with_worker_crashes() {
         closure: McClosure::RunFor(SimDuration::from_millis(2_000)),
         ..McConfig::default()
     };
-    let report = explore(&sc, &cfg);
-    assert!(
-        report.verified(),
-        "expected verified workflow world, got {:?}",
-        report.violation
-    );
-    assert!(report.states > 0, "exploration must visit states");
-    assert!(
-        !report.truncated,
-        "state budget must not truncate this world"
-    );
-    assert!(!report.rng_impure, "workflow stack must stay draw-free");
-    // Cross-validation: the fault-free schedule replays clean through the
-    // same closure + audit the torture sweep uses.
-    assert_eq!(
-        check_schedule(&sc, &cfg, &Schedule::default()),
-        None,
-        "fault-free replay must pass the workflow audit"
-    );
+    assert_verified("workflow", &sc, &cfg);
+    assert_drivers_agree("workflow", &sc, &cfg, workflow_torture_scenario);
 }
 
 #[test]
@@ -278,7 +264,7 @@ fn deep_exploration_sweep() {
         ),
         (
             "actor×2 depth 7",
-            tca_txn::mc_scenarios::actor_mc_scenario(2),
+            actor_mc_scenario(2),
             McConfig {
                 max_depth: 7,
                 max_crashes: 0,
