@@ -23,8 +23,9 @@
 //!
 //! Covers the taxonomy cells ({model × mechanism} transfer workloads,
 //! F1/E1/E3/E7 hot paths), engine commit paths per isolation level (E11),
-//! one engine checkpoint interval (E6), TPC-C procedures (E9), YCSB mixes,
-//! MVCC install/read/gc, and Zipf sampling. Virtual-time results are
+//! a bulk load with its first checkpoint, one engine checkpoint interval
+//! (E6), TPC-C procedures (E9), YCSB mixes, MVCC install/read/gc, and
+//! Zipf sampling. Virtual-time results are
 //! printed by the `experiments` binary; these benches track the
 //! *simulator's* wall-clock performance so substrate regressions show up
 //! in CI.
@@ -120,9 +121,7 @@ fn bench_engine_commits(bench: &mut Bench) {
         IsolationLevel::Serializable,
     ] {
         let mut engine = fresh_engine();
-        for i in 0..1000 {
-            engine.load(&format!("k{i}"), Value::Int(0));
-        }
+        engine.load((0..1000).map(|i| (format!("k{i}"), Value::Int(0))));
         let mut i = 0u64;
         bench.run(&format!("engine/commit/{iso}"), move || {
             i += 1;
@@ -135,18 +134,26 @@ fn bench_engine_commits(bench: &mut Bench) {
     }
 }
 
+/// A 30k-row preload into a fresh engine, then its first checkpoint: what
+/// each shard of a preloaded store pays before it serves. The load writes
+/// the checkpoint image, so that checkpoint folds an empty commit tail.
+fn bench_load(bench: &mut Bench) {
+    const ROWS: u64 = 30_000;
+    bench.run("engine/load", || {
+        let mut engine = fresh_engine();
+        engine.load((0..ROWS).map(|i| (format!("k{i:05}"), Value::Int(0))));
+        engine.take_checkpoint();
+        engine.clock()
+    });
+}
+
 /// One checkpoint interval of a 30k-row engine: 1,024 commits, 5% of
 /// them read-modify-writes and the rest reads, so every iteration ends in
 /// exactly one checkpoint (WAL-tail fold, truncation, MVCC GC).
 fn bench_checkpoint(bench: &mut Bench) {
     const ROWS: u64 = 30_000;
     let mut engine = fresh_engine();
-    for i in 0..ROWS {
-        engine.load(&format!("k{i:05}"), Value::Int(0));
-    }
-    // Build the initial image outside the timed loop: iterations measure
-    // steady-state checkpoints only.
-    engine.take_checkpoint();
+    engine.load((0..ROWS).map(|i| (format!("k{i:05}"), Value::Int(0))));
     let interval = EngineConfig::default().checkpoint_every;
     let mut rng = SimRng::new(8);
     bench.run("engine/checkpoint", move || {
@@ -167,9 +174,7 @@ fn bench_tpcc_procs(bench: &mut Bench) {
     let scale = tpcc::TpccScale::default();
     for proc in ["new_order", "payment"] {
         let mut engine = fresh_engine();
-        for (key, value) in tpcc::seed(&scale) {
-            engine.load(&key, value);
-        }
+        engine.load(tpcc::seed(&scale));
         let registry = tpcc::registry();
         let mut rng = SimRng::new(3);
         let scale = scale.clone();
@@ -190,9 +195,7 @@ fn bench_ycsb(bench: &mut Bench) {
         ("F", ycsb::YcsbWorkload::F),
     ] {
         let mut engine = fresh_engine();
-        for (key, value) in ycsb::seed(&scale) {
-            engine.load(&key, value);
-        }
+        engine.load(ycsb::seed(&scale));
         let registry = ycsb::registry();
         let mut sampler = ycsb::YcsbSampler::new(workload, &scale);
         let mut rng = SimRng::new(4);
@@ -285,6 +288,7 @@ fn main() {
         bench_cells(&mut bench);
         bench_contention(&mut bench);
         bench_engine_commits(&mut bench);
+        bench_load(&mut bench);
         bench_checkpoint(&mut bench);
         bench_tpcc_procs(&mut bench);
         bench_ycsb(&mut bench);

@@ -96,6 +96,16 @@ impl Payload {
         }
     }
 
+    /// Mutably borrow the payload as `T`, if that is its concrete type and
+    /// this handle is its sole owner (as [`Rc::get_mut`]). A receiver can
+    /// then move data out instead of cloning it. A payload the network
+    /// still holds for a duplicate delivery is shared, so this returns
+    /// `None` and the receiver must clone.
+    #[inline]
+    pub fn get_mut<T: Any>(&mut self) -> Option<&mut T> {
+        Rc::get_mut(&mut self.inner)?.value.downcast_mut::<T>()
+    }
+
     /// True if the payload's concrete type is `T`.
     #[inline]
     pub fn is<T: Any>(&self) -> bool {
@@ -139,6 +149,20 @@ mod tests {
         let q = p.clone();
         assert_eq!(q.expect::<Ping>().0, 9);
         assert_eq!(p.expect::<Ping>().0, 9);
+    }
+
+    #[test]
+    fn get_mut_needs_the_sole_owner() {
+        let mut p = Payload::new(Ping(1));
+        p.get_mut::<Ping>().expect("sole owner").0 = 2;
+        assert_eq!(p.expect::<Ping>().0, 2);
+        assert!(p.get_mut::<Pong>().is_none(), "wrong type");
+        let q = p.clone();
+        assert!(p.get_mut::<Ping>().is_none(), "shared with a clone");
+        drop(q);
+        assert!(p.get_mut::<Ping>().is_some(), "sole owner again");
+        let mut z = Payload::new(Pong);
+        assert!(z.get_mut::<Pong>().is_none(), "interned ZSTs are shared");
     }
 
     #[test]

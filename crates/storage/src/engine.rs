@@ -16,13 +16,16 @@
 //!   committer wins on write-write conflicts. Exhibits write skew.
 //! - **Serializable**: strict two-phase locking with deadlock detection.
 //!
-//! Durability: every commit appends a redo record to the WAL before it is
-//! acknowledged. Every [`EngineConfig::checkpoint_every`] commits the
-//! engine folds the WAL records written since the previous checkpoint
-//! into the durable checkpoint image *in place*, then truncates the log —
-//! a checkpoint costs O(writes since the last one), not O(rows stored).
-//! Only the first image is built from scratch, in one bulk pass over the
-//! MVCC store. Recovery loads the image and replays the WAL tail.
+//! Durability: the WAL holds commits only. Every commit appends a redo
+//! record to it before it is acknowledged. Every
+//! [`EngineConfig::checkpoint_every`] commits the engine folds the WAL
+//! records written since the previous checkpoint into the durable
+//! checkpoint image *in place*, then truncates the log — a checkpoint
+//! costs O(writes since the last one), not O(rows stored). Bulk loads
+//! ([`Engine::load`]) bypass the WAL: they write their rows straight into
+//! the image, so the first checkpoint after a preload folds only the
+//! commit tail, like every later one. Recovery loads the image and
+//! replays the WAL tail.
 
 use std::collections::BTreeMap;
 use tca_sim::DetHashMap as HashMap;
@@ -108,7 +111,6 @@ struct ActiveTx {
     iso: IsolationLevel,
     begin_ts: Timestamp,
     writes: BTreeMap<Key, Option<Value>>,
-    reads: Vec<(Key, Timestamp)>,
     pending: Option<PendingOp>,
 }
 
@@ -123,7 +125,6 @@ pub struct Engine {
     next_tx: u64,
     active: HashMap<TxId, ActiveTx>,
     commits_since_checkpoint: u64,
-    footprints: Vec<TxFootprint>,
     aborts: HashMap<AbortReason, u64>,
     commit_count: u64,
 }
@@ -145,7 +146,6 @@ impl Engine {
             next_tx: 0,
             active: HashMap::default(),
             commits_since_checkpoint: 0,
-            footprints: Vec::new(),
             aborts: HashMap::default(),
             commit_count: 0,
         }
@@ -172,11 +172,7 @@ impl Engine {
                 engine.mvcc.install(key, record.commit_ts, value.clone());
             }
             engine.clock = engine.clock.max(record.commit_ts);
-            // Bulk loads use TxId::MAX as a sentinel; don't let it poison
-            // the transaction counter.
-            if record.tx.0 != u64::MAX {
-                engine.next_tx = engine.next_tx.max(record.tx.0 + 1);
-            }
+            engine.next_tx = engine.next_tx.max(record.tx.0 + 1);
         });
         engine
     }
@@ -191,7 +187,6 @@ impl Engine {
                 iso,
                 begin_ts: self.clock,
                 writes: BTreeMap::new(),
-                reads: Vec::new(),
                 pending: None,
             },
         );
@@ -227,33 +222,16 @@ impl Engine {
         }
         match state.iso {
             IsolationLevel::ReadCommitted => {
-                let (value, ts) = self.observe_latest(key);
-                self.active
-                    .get_mut(&tx)
-                    .expect("active")
-                    .reads
-                    .push((key.clone(), ts));
+                let value = self.mvcc.read_latest(key).cloned();
                 (OpResult::Read(value), Vec::new())
             }
             IsolationLevel::SnapshotIsolation => {
-                let begin_ts = state.begin_ts;
-                let value = self.mvcc.read_at(key, begin_ts).cloned();
-                let ts = self.version_ts_at(key, begin_ts);
-                self.active
-                    .get_mut(&tx)
-                    .expect("active")
-                    .reads
-                    .push((key.clone(), ts));
+                let value = self.mvcc.read_at(key, state.begin_ts).cloned();
                 (OpResult::Read(value), Vec::new())
             }
             IsolationLevel::Serializable => match self.locks.acquire(tx, key, LockMode::Shared) {
                 Acquire::Granted => {
-                    let (value, ts) = self.observe_latest(key);
-                    self.active
-                        .get_mut(&tx)
-                        .expect("active")
-                        .reads
-                        .push((key.clone(), ts));
+                    let value = self.mvcc.read_latest(key).cloned();
                     (OpResult::Read(value), Vec::new())
                 }
                 Acquire::Waiting => {
@@ -331,7 +309,6 @@ impl Engine {
         self.clock += 1;
         let commit_ts = self.clock;
         let writes: Vec<(Key, Option<Value>)> = state.writes.into_iter().collect();
-        let written = writes.iter().map(|(key, _)| key.clone()).collect();
         if !writes.is_empty() {
             for (key, value) in &writes {
                 self.mvcc.install(key, commit_ts, value.clone());
@@ -342,13 +319,6 @@ impl Engine {
                 writes,
             });
         }
-        self.footprints.push(TxFootprint {
-            tx,
-            commit_ts,
-            iso: state.iso,
-            reads: state.reads,
-            writes: written,
-        });
         self.commit_count += 1;
         self.commits_since_checkpoint += 1;
         if self.commits_since_checkpoint >= self.config.checkpoint_every {
@@ -395,32 +365,10 @@ impl Engine {
         out
     }
 
-    /// Take a checkpoint now and truncate the WAL up to it.
-    ///
-    /// The WAL records in `[covered_lsn, next_lsn)` are folded into the
-    /// stored image in place. An empty image is instead built in one bulk
-    /// pass over the MVCC latest state: that packs the B-tree densely,
-    /// where tens of thousands of single inserts would leave its nodes
-    /// half full.
+    /// Take a checkpoint now: fold the WAL tail into the image, truncate
+    /// the log, and run MVCC GC when configured.
     pub fn take_checkpoint(&mut self) {
-        let lsn = self.wal.next_lsn();
-        let ts = self.clock;
-        let (wal, mvcc) = (&self.wal, &self.mvcc);
-        self.checkpoint.update(|slot| match slot {
-            Some(cp) if !cp.state.is_empty() => {
-                wal.for_each_from(cp.covered_lsn, |record| fold_record(&mut cp.state, record));
-                cp.covered_lsn = lsn;
-                cp.ts = ts;
-            }
-            _ => {
-                *slot = Some(Checkpoint {
-                    state: mvcc.snapshot_latest(),
-                    covered_lsn: lsn,
-                    ts,
-                });
-            }
-        });
-        self.wal.truncate_to(lsn);
+        self.fold_wal_tail();
         self.commits_since_checkpoint = 0;
         if self.config.gc {
             let horizon = self
@@ -433,25 +381,24 @@ impl Engine {
         }
     }
 
-    fn observe_latest(&self, key: &str) -> (Option<Value>, Timestamp) {
-        let value = self.mvcc.read_latest(key).cloned();
-        let ts = if value.is_some() {
-            self.mvcc.latest_ts(key).unwrap_or(0)
-        } else {
-            0
-        };
-        (value, ts)
-    }
-
-    fn version_ts_at(&self, key: &str, at: Timestamp) -> Timestamp {
-        if self.mvcc.read_at(key, at).is_some() {
-            // Find the version's own ts by narrowing: latest_ts if <= at,
-            // else walk via read semantics. A linear refinement suffices
-            // for checker purposes: we return `at` bounded observation.
-            self.mvcc.latest_ts(key).map_or(0, |latest| latest.min(at))
-        } else {
-            0
-        }
+    /// Fold the WAL records in `[covered_lsn, next_lsn)` into the stored
+    /// checkpoint image in place, then truncate the log up to there. An
+    /// engine with no image yet starts from an empty one: until the first
+    /// fold the log holds its whole history.
+    fn fold_wal_tail(&mut self) {
+        let lsn = self.wal.next_lsn();
+        let (wal, ts) = (&self.wal, self.clock);
+        self.checkpoint.update(|slot| {
+            let cp = slot.get_or_insert_with(|| Checkpoint {
+                state: BTreeMap::new(),
+                covered_lsn: 0,
+                ts: 0,
+            });
+            wal.for_each_from(cp.covered_lsn, |record| fold_record(&mut cp.state, record));
+            cp.covered_lsn = lsn;
+            cp.ts = ts;
+        });
+        self.wal.truncate_to(lsn);
     }
 
     // ----- introspection --------------------------------------------------
@@ -475,16 +422,41 @@ impl Engine {
             .collect()
     }
 
-    /// Bulk-load initial data outside any transaction (setup only).
-    pub fn load(&mut self, key: &Key, value: Value) {
-        self.clock += 1;
-        let ts = self.clock;
-        self.wal.append(WalRecord {
-            tx: TxId(u64::MAX),
-            commit_ts: ts,
-            writes: vec![(key.clone(), Some(value.clone()))],
+    /// Bulk-load rows outside any transaction (setup and seeding).
+    ///
+    /// The rows bypass the WAL: each is installed in the MVCC store at its
+    /// own timestamp (`clock += 1`, as one commit would be) and written
+    /// straight into the durable checkpoint image, so they are durable
+    /// when the calling handler returns, as a WAL append would be. Any WAL
+    /// tail not yet in the image is folded in first and the log truncated:
+    /// a later recovery must never replay an older commit over a loaded
+    /// value. A key repeated within one batch keeps its last value.
+    /// Loading no rows changes nothing.
+    pub fn load(&mut self, rows: impl IntoIterator<Item = (Key, Value)>) {
+        let mut rows = rows.into_iter().peekable();
+        if rows.peek().is_none() {
+            return;
+        }
+        self.fold_wal_tail();
+        let (mvcc, clock) = (&mut self.mvcc, &mut self.clock);
+        self.checkpoint.update(|slot| {
+            let cp = slot.as_mut().expect("the fold stored an image");
+            let rows = rows.map(|(key, value)| {
+                *clock += 1;
+                mvcc.install(&key, *clock, Some(value.clone()));
+                (key, value)
+            });
+            if cp.state.is_empty() {
+                // One bulk build packs the B-tree densely; tens of
+                // thousands of single inserts would leave it half full.
+                cp.state = rows.collect();
+            } else {
+                for (key, value) in rows {
+                    cp.state.insert(key, value);
+                }
+            }
+            cp.ts = *clock;
         });
-        self.mvcc.install(key, ts, Some(value));
     }
 
     /// Number of committed transactions.
@@ -500,11 +472,6 @@ impl Engine {
     /// Number of currently active transactions.
     pub fn active_count(&self) -> usize {
         self.active.len()
-    }
-
-    /// Drain the recorded transaction footprints (checker input).
-    pub fn take_footprints(&mut self) -> Vec<TxFootprint> {
-        std::mem::take(&mut self.footprints)
     }
 
     /// The WAL handle (e.g. to hand to a recovery test).
@@ -587,7 +554,7 @@ mod tests {
     #[test]
     fn snapshot_isolation_sees_begin_snapshot() {
         let mut e = engine();
-        e.load(&k("a"), Value::Int(1));
+        e.load([(k("a"), Value::Int(1))]);
         let t1 = e.begin(IsolationLevel::SnapshotIsolation);
         // Another transaction commits a change after t1 began.
         let t2 = e.begin(IsolationLevel::SnapshotIsolation);
@@ -600,7 +567,7 @@ mod tests {
     #[test]
     fn read_committed_sees_latest_each_statement() {
         let mut e = engine();
-        e.load(&k("a"), Value::Int(1));
+        e.load([(k("a"), Value::Int(1))]);
         let t1 = e.begin(IsolationLevel::ReadCommitted);
         assert_eq!(e.read(t1, &k("a")).0, OpResult::Read(Some(Value::Int(1))));
         let t2 = e.begin(IsolationLevel::ReadCommitted);
@@ -613,7 +580,7 @@ mod tests {
     #[test]
     fn si_first_committer_wins() {
         let mut e = engine();
-        e.load(&k("a"), Value::Int(0));
+        e.load([(k("a"), Value::Int(0))]);
         let t1 = e.begin(IsolationLevel::SnapshotIsolation);
         let t2 = e.begin(IsolationLevel::SnapshotIsolation);
         e.write(t1, &k("a"), Some(Value::Int(1)));
@@ -627,7 +594,7 @@ mod tests {
     #[test]
     fn serializable_write_blocks_and_resumes() {
         let mut e = engine();
-        e.load(&k("a"), Value::Int(0));
+        e.load([(k("a"), Value::Int(0))]);
         let t1 = e.begin(IsolationLevel::Serializable);
         let t2 = e.begin(IsolationLevel::Serializable);
         assert_eq!(
@@ -650,8 +617,7 @@ mod tests {
     #[test]
     fn serializable_deadlock_aborts_requester() {
         let mut e = engine();
-        e.load(&k("a"), Value::Int(0));
-        e.load(&k("b"), Value::Int(0));
+        e.load([(k("a"), Value::Int(0)), (k("b"), Value::Int(0))]);
         let t1 = e.begin(IsolationLevel::Serializable);
         let t2 = e.begin(IsolationLevel::Serializable);
         e.write(t1, &k("a"), Some(Value::Int(1)));
@@ -673,7 +639,7 @@ mod tests {
         // Two increments at Serializable always sum; at RC one is lost.
         let run = |iso: IsolationLevel| -> i64 {
             let mut e = engine();
-            e.load(&k("c"), Value::Int(0));
+            e.load([(k("c"), Value::Int(0))]);
             let t1 = e.begin(iso);
             let t2 = e.begin(iso);
             // Both read 0.
@@ -765,24 +731,46 @@ mod tests {
     }
 
     #[test]
-    fn footprints_capture_reads_and_writes() {
-        let mut e = engine();
-        e.load(&k("a"), Value::Int(1));
+    fn bulk_load_writes_the_image_not_the_wal() {
+        let wal = DurableLog::new();
+        let cp = DurableCell::new();
+        let mut e = Engine::new(EngineConfig::default(), wal.clone(), cp.clone());
         let t = e.begin(IsolationLevel::Serializable);
-        e.read(t, &k("a"));
-        e.write(t, &k("b"), Some(Value::Int(2)));
+        e.write(t, &k("a"), Some(Value::Int(1)));
         e.commit(t);
-        let fp = e.take_footprints();
-        assert_eq!(fp.len(), 1);
-        assert_eq!(fp[0].reads.len(), 1);
-        assert_eq!(fp[0].writes, vec![k("b")]);
-        assert!(e.take_footprints().is_empty(), "drained");
+        assert_eq!(wal.len(), 1);
+        e.load((0..3).map(|i| (k(&format!("r{i}")), Value::Int(i))));
+        assert_eq!(wal.len(), 0, "commit tail folded, rows never logged");
+        assert_eq!(e.clock(), 4, "one timestamp per row");
+        let image = cp.load().expect("image written");
+        assert_eq!((image.covered_lsn, image.ts), (1, 4));
+        assert_eq!(image.state, e.mvcc.snapshot_latest());
+        // The first checkpoint after the preload folds only the new tail.
+        let t = e.begin(IsolationLevel::Serializable);
+        e.write(t, &k("r0"), Some(Value::Int(9)));
+        e.commit(t);
+        e.take_checkpoint();
+        let image = cp.load().expect("image").state;
+        assert_eq!(image.get("r0"), Some(&Value::Int(9)));
+        assert_eq!(image, e.mvcc.snapshot_latest());
+        let recovered = Engine::recover(EngineConfig::default(), wal, cp);
+        assert_eq!(recovered.mvcc.snapshot_latest(), e.mvcc.snapshot_latest());
+        assert_eq!(recovered.clock(), e.clock());
+    }
+
+    #[test]
+    fn empty_load_changes_nothing() {
+        let cp = DurableCell::new();
+        let mut e = Engine::new(EngineConfig::default(), DurableLog::new(), cp.clone());
+        e.load(Vec::new());
+        assert!(!cp.is_set());
+        assert_eq!(e.clock(), 0);
     }
 
     #[test]
     fn delete_via_none() {
         let mut e = engine();
-        e.load(&k("a"), Value::Int(1));
+        e.load([(k("a"), Value::Int(1))]);
         let t = e.begin(IsolationLevel::Serializable);
         e.write(t, &k("a"), None);
         e.commit(t);
@@ -800,7 +788,9 @@ mod tests {
     /// `op` picks begin / put / delete / commit / abort / bulk load /
     /// explicit checkpoint / crash-and-recover; `key` names one of 12 keys
     /// (and, modulo the open transactions, which one acts); `value` is the
-    /// written value (and, modulo 3, a begin's isolation level).
+    /// written value (and, modulo 3, a begin's isolation level). A bulk
+    /// load writes `1 + value % 4` rows from `key` on, `value % 3` keys
+    /// apart — so a stride of 0 repeats one key within the batch.
     type FoldStep = (u8, u8, i64);
 
     /// `(covered_lsn, ts)` of the stored checkpoint, if any.
@@ -845,7 +835,20 @@ mod tests {
                     open.retain(|&t| t != tx);
                     let _ = e.abort(tx);
                 }
-                5 => e.load(&k, Value::Int(value)),
+                5 => {
+                    let stride = value as usize % 3;
+                    let batch: Vec<(Key, Value)> = (0..1 + value as usize % 4)
+                        .map(|j| {
+                            let key = (key as usize + j * stride) % 12;
+                            (format!("k{key}"), Value::Int(value + j as i64))
+                        })
+                        .collect();
+                    e.load(batch.clone());
+                    for (key, _) in &batch {
+                        let last = batch.iter().rev().find(|(k, _)| k == key);
+                        assert_eq!(e.peek(key).as_ref(), last.map(|(_, v)| v), "step {i}");
+                    }
+                }
                 6 => e.take_checkpoint(),
                 7 => {
                     let live = e.mvcc.snapshot_latest();
@@ -872,8 +875,10 @@ mod tests {
 
     /// Folding the WAL tail into the checkpoint image in place yields
     /// exactly the image a full rebuild would, across random mixes of
-    /// transactions at every isolation level, bulk loads, deletes,
-    /// explicit checkpoints and crash/recover cycles.
+    /// transactions at every isolation level, multi-row bulk loads (with
+    /// keys repeated inside a batch, and between the operations of open
+    /// transactions), deletes, explicit checkpoints and crash/recover
+    /// cycles.
     #[test]
     fn checkpoint_fold_matches_full_rebuild() {
         use tca_sim::check::{check, i64_in, tuple2, tuple3, u64_in, u8_in, vec_of};

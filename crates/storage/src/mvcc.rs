@@ -27,10 +27,60 @@ pub struct Version {
     pub value: Option<Value>,
 }
 
+/// The committed versions of one key, oldest first. Most keys only ever
+/// hold one (every bulk-loaded row until its first write), so a lone
+/// version is stored inline and costs no allocation of its own.
+#[derive(Debug, Clone)]
+enum Versions {
+    One(Version),
+    Many(Vec<Version>),
+}
+
+impl Default for Versions {
+    /// No versions yet.
+    fn default() -> Self {
+        Versions::Many(Vec::new())
+    }
+}
+
+impl std::ops::Deref for Versions {
+    type Target = [Version];
+
+    fn deref(&self) -> &[Version] {
+        match self {
+            Versions::One(version) => std::slice::from_ref(version),
+            Versions::Many(versions) => versions,
+        }
+    }
+}
+
+impl Versions {
+    fn push(&mut self, version: Version) {
+        *self = match std::mem::take(self) {
+            Versions::Many(versions) if versions.is_empty() => Versions::One(version),
+            Versions::One(first) => Versions::Many(vec![first, version]),
+            Versions::Many(mut versions) => {
+                versions.push(version);
+                Versions::Many(versions)
+            }
+        };
+    }
+
+    /// Drop the `n` oldest versions; at least one must remain.
+    fn drop_oldest(&mut self, n: usize) {
+        if let Versions::Many(versions) = self {
+            versions.drain(..n);
+            if versions.len() == 1 {
+                *self = Versions::One(versions.pop().expect("one version left"));
+            }
+        }
+    }
+}
+
 /// A multi-versioned key-value store.
 #[derive(Debug, Default, Clone)]
 pub struct MvccStore {
-    data: BTreeMap<Key, Vec<Version>>,
+    data: BTreeMap<Key, Versions>,
     /// Keys [`MvccStore::gc`] must visit: exactly the [`reclaimable`]
     /// keys, each listed once. A key is added when a push makes it
     /// reclaimable and dropped by the `gc` that leaves it not.
@@ -115,7 +165,7 @@ impl MvccStore {
             // Index of the newest version visible at the horizon.
             let keep_from = versions.iter().rposition(|v| v.ts <= horizon).unwrap_or(0);
             reclaimed += keep_from;
-            versions.drain(..keep_from);
+            versions.drop_oldest(keep_from);
             // Fully remove keys whose only remaining state is one tombstone
             // older than the horizon.
             let dead =
@@ -131,9 +181,9 @@ impl MvccStore {
 
     /// Materialize the latest committed state in one pass over every key.
     ///
-    /// Builds a checkpoint image from scratch (the engine does so only when
-    /// it has no image yet; later checkpoints fold the WAL tail into the
-    /// existing one) and serves as the oracle for tests of that fold.
+    /// The engine never needs this — its checkpoints fold the WAL tail
+    /// into the stored image — so it serves as the oracle that tests of
+    /// that fold compare against.
     pub fn snapshot_latest(&self) -> BTreeMap<Key, Value> {
         self.data
             .iter()
@@ -163,7 +213,7 @@ impl MvccStore {
 
     /// Total number of stored versions (for GC accounting).
     pub fn version_count(&self) -> usize {
-        self.data.values().map(Vec::len).sum()
+        self.data.values().map(|versions| versions.len()).sum()
     }
 
     /// Iterate over keys in a range with their latest values (simple scans).
@@ -272,6 +322,15 @@ mod tests {
         assert!(orders.iter().all(|(k, _)| k.starts_with("order/")));
     }
 
+    /// Every key's versions, oldest first.
+    fn history(store: &MvccStore) -> BTreeMap<Key, Vec<Version>> {
+        store
+            .data
+            .iter()
+            .map(|(k, versions)| (k.clone(), versions.to_vec()))
+            .collect()
+    }
+
     /// The full-scan GC that candidate-only [`MvccStore::gc`] replaces:
     /// trim every key, drop keys left holding one old tombstone.
     fn reference_gc(data: &mut BTreeMap<Key, Vec<Version>>, horizon: Timestamp) -> usize {
@@ -304,7 +363,7 @@ mod tests {
                     let horizon = ts.saturating_sub(value.into());
                     let expected = reference_gc(&mut reference, horizon);
                     assert_eq!(store.gc(horizon), expected, "step {i}: reclaimed");
-                    assert_eq!(store.data, reference, "step {i}: history");
+                    assert_eq!(history(&store), reference, "step {i}: history");
                 }
                 _ => {
                     let snapshot = (key..key + 3)
@@ -314,7 +373,7 @@ mod tests {
                 }
             }
             if op != 2 {
-                reference.clone_from(&store.data);
+                reference = history(&store);
             }
             let mut listed = store.gc_candidates.clone();
             listed.sort();
@@ -325,6 +384,11 @@ mod tests {
                 .map(|(k, _)| k.clone())
                 .collect();
             assert_eq!(listed, reclaimable_keys, "step {i}: each candidate once");
+            let inline = |v: &Versions| matches!(v, Versions::One(_)) == (v.len() == 1);
+            assert!(
+                store.data.values().all(inline),
+                "step {i}: lone versions inline"
+            );
             let versions: usize = reference.values().map(Vec::len).sum();
             assert_eq!(store.version_count(), versions, "step {i}: versions");
             let live = reference

@@ -236,8 +236,10 @@ mod tests {
     #[test]
     fn proc_commits_on_success() {
         let mut e = engine();
-        e.load(&"acct/a".to_owned(), Value::Int(100));
-        e.load(&"acct/b".to_owned(), Value::Int(0));
+        e.load([
+            ("acct/a".to_owned(), Value::Int(100)),
+            ("acct/b".to_owned(), Value::Int(0)),
+        ]);
         let reg = transfer_registry();
         let out = run_proc(
             &mut e,
@@ -253,7 +255,7 @@ mod tests {
     #[test]
     fn proc_rolls_back_on_logic_failure() {
         let mut e = engine();
-        e.load(&"acct/a".to_owned(), Value::Int(10));
+        e.load([("acct/a".to_owned(), Value::Int(10))]);
         let reg = transfer_registry();
         let out = run_proc(
             &mut e,
@@ -279,7 +281,7 @@ mod tests {
     #[test]
     fn proc_retries_when_interactive_tx_holds_lock() {
         let mut e = engine();
-        e.load(&"k".to_owned(), Value::Int(1));
+        e.load([("k".to_owned(), Value::Int(1))]);
         // An interactive serializable transaction holds the X lock.
         let t = e.begin(IsolationLevel::Serializable);
         e.write(t, &"k".to_owned(), Some(Value::Int(2)));

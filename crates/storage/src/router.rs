@@ -30,7 +30,9 @@ use tca_sim::wire::{RpcReply, RpcRequest};
 use tca_sim::{Boot, Ctx, NodeId, Payload, Process, ProcessId, ShardMap, Sim};
 
 use crate::proc::ProcRegistry;
-use crate::server::{DbMsg, DbReply, DbRequest, DbResponse, DbServer, DbServerConfig};
+use crate::server::{
+    take_load_rows, DbMsg, DbReply, DbRequest, DbResponse, DbServer, DbServerConfig,
+};
 use crate::types::{Key, Value};
 
 /// Ask the router for its shard topology (reply: [`Topology`]).
@@ -203,13 +205,14 @@ impl ShardRouter {
         }
     }
 
-    fn handle_request(
-        &mut self,
-        ctx: &mut Ctx,
-        client: ProcessId,
-        msg: &DbMsg,
-        rpc_call: Option<u64>,
-    ) {
+    /// Route one client request: a bare or RPC-enveloped [`DbMsg`].
+    fn handle_request(&mut self, ctx: &mut Ctx, client: ProcessId, mut payload: Payload) {
+        let (msg, rpc_call) = if let Some(req) = payload.downcast_ref::<RpcRequest>() {
+            (req.body.expect::<DbMsg>(), Some(req.call_id))
+        } else {
+            (payload.expect::<DbMsg>(), None)
+        };
+        let token = msg.token;
         match &msg.req {
             DbRequest::Call { args, .. } => match args.first() {
                 Some(Value::Str(key)) => {
@@ -260,8 +263,9 @@ impl ShardRouter {
                     );
                 }
             }
-            DbRequest::Load { pairs } => {
-                let groups = self.map.split_by_owner(pairs.clone(), |(k, _)| k.as_str());
+            DbRequest::Load { .. } => {
+                let rows = take_load_rows(&mut payload);
+                let groups = self.map.split_by_owner(rows, |(k, _)| k.as_str());
                 let targets: Vec<(ProcessId, Vec<(Key, Value)>)> = groups
                     .into_iter()
                     .enumerate()
@@ -270,7 +274,7 @@ impl ShardRouter {
                     .collect();
                 if targets.is_empty() {
                     // Empty load: nothing to distribute, ack immediately.
-                    self.respond(ctx, client, msg.token, rpc_call, DbResponse::Loaded);
+                    self.respond(ctx, client, token, rpc_call, DbResponse::Loaded);
                     return;
                 }
                 let internal = self.alloc_internal();
@@ -278,7 +282,7 @@ impl ShardRouter {
                     internal,
                     Pending::Fanout {
                         client,
-                        token: msg.token,
+                        token,
                         rpc_call,
                         outstanding: targets.len(),
                         scan: None,
@@ -393,13 +397,7 @@ impl Process for ShardRouter {
             );
             return;
         }
-        // Client requests: bare DbMsg or RPC-enveloped DbMsg.
-        let (msg, rpc_call) = if let Some(req) = payload.downcast_ref::<RpcRequest>() {
-            (req.body.expect::<DbMsg>(), Some(req.call_id))
-        } else {
-            (payload.expect::<DbMsg>(), None)
-        };
-        self.handle_request(ctx, from, msg, rpc_call);
+        self.handle_request(ctx, from, payload);
     }
 }
 
@@ -474,7 +472,7 @@ pub fn deploy_sharded_db(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tca_sim::SimDuration;
+    use tca_sim::{ScriptedFate, SimDuration};
 
     fn kv_registry() -> ProcRegistry {
         ProcRegistry::new()
@@ -622,6 +620,56 @@ mod tests {
         sim.run_for(SimDuration::from_millis(50));
         let scanned = sim.inspect::<Script>(p2).map(|s| s.scanned);
         assert_eq!(scanned, Some(30), "fan-out scan sees every shard's keys");
+    }
+
+    #[test]
+    fn load_delivered_twice_still_lands_every_row() {
+        // Three shards on nodes 0–2, the router on node 3: every hop
+        // below crosses the network, so every scripted fate applies.
+        let (mut sim, router, shards) = world(3);
+        let nc = sim.add_node();
+        let router_node = sim.node_of(router);
+        // The client's Load reaches the router twice. The first delivery
+        // shares its payload with the queued duplicate, so the router
+        // must clone the rows; the second owns it and moves them. The
+        // first group the router sends each shard is duplicated as well.
+        sim.network_mut()
+            .script_fate(nc, router_node, 0, ScriptedFate::Duplicate);
+        for &shard in &shards {
+            let node = sim.node_of(shard);
+            sim.network_mut()
+                .script_fate(router_node, node, 0, ScriptedFate::Duplicate);
+        }
+        let pairs: Vec<(Key, Value)> = (0..30)
+            .map(|i| (format!("user{i:08}"), Value::Int(i)))
+            .collect();
+        let rows = pairs.clone();
+        sim.spawn(nc, "client", move |_| {
+            Box::new(Script {
+                router,
+                reqs: vec![DbRequest::Load {
+                    pairs: rows.clone(),
+                }],
+                scanned: 0,
+            })
+        });
+        sim.run_for(SimDuration::from_millis(50));
+        let map = ShardMap::ring(3);
+        for (key, value) in &pairs {
+            let held = sim
+                .inspect::<DbServer>(shards[map.owner(key)])
+                .and_then(|db| db.engine().peek(key));
+            assert_eq!(held.as_ref(), Some(value), "{key}");
+        }
+        // Each shard saw its group three times (the router fanned out
+        // twice, and the network doubled the first fan-out), and every
+        // delivery, shared or not, applied the whole group: one
+        // timestamp per row per load.
+        for (s, &pid) in shards.iter().enumerate() {
+            let group = pairs.iter().filter(|(k, _)| map.owner(k) == s).count();
+            let clock = sim.inspect::<DbServer>(pid).map(|db| db.engine().clock());
+            assert_eq!(clock, Some(3 * group as u64), "shard {s}");
+        }
     }
 
     #[test]

@@ -424,11 +424,11 @@ impl DbServer {
         &mut self,
         ctx: &mut Ctx,
         addr: ReturnAddr,
-        proc: String,
-        args: Vec<Value>,
+        proc: &str,
+        args: &[Value],
         attempts: u32,
     ) {
-        match run_proc(&mut self.engine, &self.registry, &proc, &args) {
+        match run_proc(&mut self.engine, &self.registry, proc, args) {
             ProcOutcome::Done(results) => {
                 ctx.metrics().incr(&format!("{}.calls_ok", self.name), 1);
                 self.reply(
@@ -460,8 +460,8 @@ impl DbServer {
                     .or_else(|| ctx.trace_span(SpanKind::LockWait, || format!("conflict {proc}")));
                 self.retry_queue.push_back(ParkedCall {
                     addr: ReturnAddr { span, ..addr },
-                    proc,
-                    args,
+                    proc: proc.to_owned(),
+                    args: args.to_vec(),
                     attempts: attempts + 1,
                 });
                 self.kick_retry_timer(ctx);
@@ -503,7 +503,7 @@ impl Process for DbServer {
         Some(self)
     }
 
-    fn on_message(&mut self, ctx: &mut Ctx, from: ProcessId, payload: Payload) {
+    fn on_message(&mut self, ctx: &mut Ctx, from: ProcessId, mut payload: Payload) {
         // Accept both bare DbMsg and RPC-enveloped DbMsg. Enveloped
         // requests carry an idempotency key (the call id): duplicates are
         // answered from cache rather than re-executed.
@@ -552,9 +552,9 @@ impl Process for DbServer {
         if self.admission_shed(ctx, addr) {
             return;
         }
-        match msg.req.clone() {
+        match &msg.req {
             DbRequest::Begin { iso } => {
-                let tx = self.engine.begin(iso);
+                let tx = self.engine.begin(*iso);
                 self.reply(
                     ctx,
                     addr,
@@ -563,7 +563,7 @@ impl Process for DbServer {
                 );
             }
             DbRequest::Read { tx, key } => {
-                let (result, resumed) = self.engine.read(tx, &key);
+                let (result, resumed) = self.engine.read(*tx, key);
                 match result {
                     OpResult::Read(value) => {
                         self.reply(
@@ -576,7 +576,7 @@ impl Process for DbServer {
                     OpResult::Blocked => {
                         ctx.metrics().incr(&format!("{}.lock_waits", self.name), 1);
                         let span = ctx.trace_span(SpanKind::LockWait, || format!("lock {key}"));
-                        self.parked.insert(tx, ReturnAddr { span, ..addr });
+                        self.parked.insert(*tx, ReturnAddr { span, ..addr });
                     }
                     OpResult::Aborted(reason) => {
                         self.reply(
@@ -591,7 +591,7 @@ impl Process for DbServer {
                 self.deliver_resumptions(ctx, resumed);
             }
             DbRequest::Write { tx, key, value } => {
-                let (result, resumed) = self.engine.write(tx, &key, value);
+                let (result, resumed) = self.engine.write(*tx, key, value.clone());
                 match result {
                     OpResult::Written => {
                         self.reply(ctx, addr, DbResponse::WriteOk, self.config.write_latency);
@@ -599,7 +599,7 @@ impl Process for DbServer {
                     OpResult::Blocked => {
                         ctx.metrics().incr(&format!("{}.lock_waits", self.name), 1);
                         let span = ctx.trace_span(SpanKind::LockWait, || format!("lock {key}"));
-                        self.parked.insert(tx, ReturnAddr { span, ..addr });
+                        self.parked.insert(*tx, ReturnAddr { span, ..addr });
                     }
                     OpResult::Aborted(reason) => {
                         self.reply(
@@ -614,7 +614,7 @@ impl Process for DbServer {
                 self.deliver_resumptions(ctx, resumed);
             }
             DbRequest::Commit { tx } => {
-                let (result, resumed) = self.engine.commit(tx);
+                let (result, resumed) = self.engine.commit(*tx);
                 let resp = match result {
                     CommitResult::Committed(ts) => {
                         ctx.metrics().incr(&format!("{}.commits", self.name), 1);
@@ -629,7 +629,7 @@ impl Process for DbServer {
                 self.deliver_resumptions(ctx, resumed);
             }
             DbRequest::Abort { tx } => {
-                let resumed = self.engine.abort(tx);
+                let resumed = self.engine.abort(*tx);
                 ctx.metrics().incr(&format!("{}.aborts", self.name), 1);
                 self.reply(
                     ctx,
@@ -645,7 +645,7 @@ impl Process for DbServer {
                 self.handle_call(ctx, addr, proc, args, 0);
             }
             DbRequest::Peek { key } => {
-                let value = self.engine.peek(&key);
+                let value = self.engine.peek(key);
                 self.reply(
                     ctx,
                     addr,
@@ -654,7 +654,7 @@ impl Process for DbServer {
                 );
             }
             DbRequest::Scan { prefix } => {
-                let pairs = self.engine.peek_prefix(&prefix);
+                let pairs = self.engine.peek_prefix(prefix);
                 self.reply(
                     ctx,
                     addr,
@@ -662,10 +662,8 @@ impl Process for DbServer {
                     self.config.read_latency,
                 );
             }
-            DbRequest::Load { pairs } => {
-                for (key, value) in pairs {
-                    self.engine.load(&key, value);
-                }
+            DbRequest::Load { .. } => {
+                self.engine.load(take_load_rows(&mut payload));
                 self.reply(ctx, addr, DbResponse::Loaded, self.config.write_latency);
             }
         }
@@ -679,8 +677,37 @@ impl Process for DbServer {
         // Retry the whole queue once; conflicts re-enqueue themselves.
         let batch: Vec<ParkedCall> = self.retry_queue.drain(..).collect();
         for call in batch {
-            self.handle_call(ctx, call.addr, call.proc, call.args, call.attempts);
+            self.handle_call(ctx, call.addr, &call.proc, &call.args, call.attempts);
         }
+    }
+}
+
+/// The rows of the `Load` request in `payload` (a bare or RPC-enveloped
+/// [`DbMsg`]). They are moved out when this delivery owns the payload
+/// alone, and cloned when it is shared — a duplicate delivery still
+/// queued in the network holds it too.
+pub(crate) fn take_load_rows(payload: &mut Payload) -> Vec<(Key, Value)> {
+    let owned = if payload.is::<RpcRequest>() {
+        payload
+            .get_mut::<RpcRequest>()
+            .and_then(|req| req.body.get_mut::<DbMsg>())
+    } else {
+        payload.get_mut::<DbMsg>()
+    };
+    if let Some(DbMsg {
+        req: DbRequest::Load { pairs },
+        ..
+    }) = owned
+    {
+        return std::mem::take(pairs);
+    }
+    let msg = match payload.downcast_ref::<RpcRequest>() {
+        Some(req) => req.body.expect::<DbMsg>(),
+        None => payload.expect::<DbMsg>(),
+    };
+    match &msg.req {
+        DbRequest::Load { pairs } => pairs.clone(),
+        other => panic!("expected a Load request, got {other:?}"),
     }
 }
 
@@ -820,5 +847,88 @@ mod tests {
         });
         sim.run_for(SimDuration::from_millis(5));
         assert_eq!(sim.metrics().counter("client.peek"), 2);
+    }
+
+    fn preload(n: i64) -> Vec<(Key, Value)> {
+        (0..n)
+            .map(|i| (format!("r{i:03}"), Value::Int(i)))
+            .collect()
+    }
+
+    /// A server with a 200-row bulk load applied and (below the
+    /// checkpoint cadence) `bumps` committed increments of `r000`.
+    fn loaded_server(bumps: usize) -> (Sim, tca_sim::NodeId, ProcessId) {
+        let mut sim = Sim::with_seed(3);
+        let n0 = sim.add_node();
+        let config = DbServerConfig {
+            engine: EngineConfig {
+                checkpoint_every: 4,
+                gc: true,
+            },
+            ..DbServerConfig::default()
+        };
+        let db = sim.spawn(n0, "db", DbServer::factory("db", config, bump_registry()));
+        let load = DbRequest::Load {
+            pairs: preload(200),
+        };
+        sim.inject(
+            db,
+            Payload::new(DbMsg {
+                token: 0,
+                req: load,
+            }),
+        );
+        sim.run_for(SimDuration::from_millis(1));
+        for _ in 0..bumps {
+            let bump = DbRequest::Call {
+                proc: "bump".into(),
+                args: vec![Value::from("r000")],
+            };
+            sim.inject(
+                db,
+                Payload::new(DbMsg {
+                    token: 0,
+                    req: bump,
+                }),
+            );
+        }
+        sim.run_for(SimDuration::from_millis(5));
+        (sim, n0, db)
+    }
+
+    fn crash_and_restart(sim: &mut Sim, node: tca_sim::NodeId) {
+        sim.crash_node(node);
+        sim.run_for(SimDuration::from_millis(1));
+        sim.restart_node(node);
+        sim.run_for(SimDuration::from_millis(1));
+    }
+
+    #[test]
+    fn bulk_load_is_recovered_from_the_image_alone() {
+        let (mut sim, n0, db) = loaded_server(0);
+        let engine = sim.inspect::<DbServer>(db).expect("up").engine();
+        assert_eq!(engine.wal().len(), 0, "a load appends nothing to the WAL");
+        crash_and_restart(&mut sim, n0);
+        let engine = sim.inspect::<DbServer>(db).expect("restarted").engine();
+        for (key, value) in preload(200) {
+            assert_eq!(engine.peek(&key), Some(value), "{key}");
+        }
+        assert_eq!(engine.clock(), 200, "one timestamp per loaded row");
+    }
+
+    #[test]
+    fn bulk_load_then_commits_survive_a_crash() {
+        // Six commits at a cadence of four: one checkpoint folds the first
+        // four into the loaded image, the last two stay in the WAL tail.
+        let (mut sim, n0, db) = loaded_server(6);
+        assert_eq!(sim.metrics().counter("db.calls_ok"), 6);
+        let engine = sim.inspect::<DbServer>(db).expect("up").engine();
+        assert_eq!(engine.wal().len(), 2);
+        crash_and_restart(&mut sim, n0);
+        let engine = sim.inspect::<DbServer>(db).expect("restarted").engine();
+        assert_eq!(engine.peek("r000"), Some(Value::Int(6)), "every bump kept");
+        for (key, value) in preload(200).into_iter().skip(1) {
+            assert_eq!(engine.peek(&key), Some(value), "{key}");
+        }
     }
 }

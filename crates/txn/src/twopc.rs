@@ -202,7 +202,7 @@ impl TwoPcParticipant {
     }
 
     /// Like [`TwoPcParticipant::factory`], with initial data loaded on
-    /// first boot (recovery reloads it from the WAL instead).
+    /// first boot (recovery reloads it from the checkpoint image instead).
     pub fn factory_seeded(
         name: impl Into<String>,
         config: ParticipantConfig,
@@ -235,9 +235,7 @@ impl TwoPcParticipant {
                 Engine::new(EngineConfig::default(), wal, checkpoint)
             };
             if !boot.restart {
-                for (key, value) in seed.iter() {
-                    engine.load(key, value.clone());
-                }
+                engine.load(seed.iter().cloned());
             }
             Box::new(TwoPcParticipant {
                 name: name.clone(),

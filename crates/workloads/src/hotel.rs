@@ -166,9 +166,7 @@ mod tests {
             DurableLog::new(),
             DurableCell::new(),
         );
-        for (key, value) in seed(scale) {
-            engine.load(&key, value);
-        }
+        engine.load(seed(scale));
         engine
     }
 

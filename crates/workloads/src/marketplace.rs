@@ -219,9 +219,7 @@ mod tests {
             DurableLog::new(),
             DurableCell::new(),
         );
-        for (key, value) in stock_seed(scale).into_iter().chain(payment_seed(scale)) {
-            engine.load(&key, value);
-        }
+        engine.load(stock_seed(scale).into_iter().chain(payment_seed(scale)));
         engine
     }
 
@@ -310,7 +308,7 @@ mod tests {
         let scale = MarketScale::default();
         let mut e = engine(&scale);
         assert_eq!(count_oversold(|k| e.peek(k), &scale), 0);
-        e.load(&"stock/3".to_owned(), Value::Int(-7));
+        e.load([("stock/3".to_owned(), Value::Int(-7))]);
         assert_eq!(count_oversold(|k| e.peek(k), &scale), 7);
     }
 

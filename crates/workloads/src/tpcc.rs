@@ -231,9 +231,7 @@ mod tests {
             DurableLog::new(),
             DurableCell::new(),
         );
-        for (key, value) in seed(scale) {
-            engine.load(&key, value);
-        }
+        engine.load(seed(scale));
         engine
     }
 
@@ -279,7 +277,7 @@ mod tests {
     fn new_order_replenishes_low_stock() {
         let scale = TpccScale::default();
         let mut engine = engine_with_seed(&scale);
-        engine.load(&"s/0/7".to_owned(), Value::Int(12));
+        engine.load([("s/0/7".to_owned(), Value::Int(12))]);
         let registry = registry();
         run_proc(
             &mut engine,
@@ -346,7 +344,7 @@ mod tests {
         let scale = TpccScale::default();
         let mut engine = engine_with_seed(&scale);
         // Corrupt: bump warehouse ytd without district.
-        engine.load(&"w/0".to_owned(), Value::Int(999));
+        engine.load([("w/0".to_owned(), Value::Int(999))]);
         assert!(check_consistency(|k| engine.peek(k), &scale).is_err());
     }
 }

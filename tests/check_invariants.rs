@@ -104,9 +104,7 @@ mod engine_props {
         let committed_state: Vec<i64>;
         {
             let mut engine = Engine::new(config.clone(), wal.clone(), cp.clone());
-            for account in 0..6 {
-                engine.load(&format!("a{account}"), Value::Int(100));
-            }
+            engine.load((0..6).map(|account| (format!("a{account}"), Value::Int(100))));
             for (from, to, amount) in transfers {
                 let tx = engine.begin(IsolationLevel::Serializable);
                 let from_key = format!("a{from}");
